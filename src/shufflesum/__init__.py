@@ -65,7 +65,6 @@ from .randomizer import (
     Message,
     encode_fixed_point,
     messages_from_batch,
-    per_user_rng,
     randomize_batch,
     randomize_vector,
     randomized_response,

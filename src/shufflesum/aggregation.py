@@ -80,14 +80,28 @@ def aggregate(messages, params: ProtocolParams):
 def aggregate_arrays(coords, values, params: ProtocolParams):
     """Vectorized aggregation of batched (coords, values) arrays.
 
-    Returns (sums, counts) as length-d arrays; sums are already divided by k.
+    Both must be integer arrays of shape (m, t) with distinct coordinates
+    per row, or MalformedMessageError is raised.  Returns (sums, counts) as
+    length-d arrays; sums are already divided by k.
     """
     coords = np.asarray(coords)
     values = np.asarray(values)
+    if coords.shape != values.shape or coords.ndim != 2 or coords.shape[1] != params.t:
+        raise MalformedMessageError(
+            f"coords {coords.shape} and values {values.shape} must both be (m, t={params.t})"
+        )
+    if not (np.issubdtype(coords.dtype, np.integer) and np.issubdtype(values.dtype, np.integer)):
+        raise MalformedMessageError(
+            f"coords and values must be integers, got {coords.dtype} and {values.dtype}"
+        )
     if np.any(values < 0) or np.any(values > params.k):
         raise MalformedMessageError(f"values outside [0, {params.k}]")
     if np.any(coords < 0) or np.any(coords >= params.d):
         raise MalformedMessageError(f"coordinates outside [0, {params.d - 1}]")
+    if params.t > 1:
+        ordered = np.sort(coords, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise MalformedMessageError("message coordinates must be distinct")
     flat_c = coords.ravel()
     sums = np.bincount(flat_c, weights=values.ravel(), minlength=params.d) / params.k
     counts = np.bincount(flat_c, minlength=params.d)

@@ -128,10 +128,10 @@ def ingest_csv(
     """Read a CSV of real-valued rows into a [0, 1] matrix.
 
     drop_label removes the trailing column.  normalize="clamp" clips into
-    [0, 1]; "minmax" rescales by the global min/max.  Unparseable cells
-    are reported with their row/column position.
+    [0, 1]; "minmax" rescales by the global min/max.  Unparseable and
+    non-finite (nan, inf) cells are reported with their row/column position.
     """
-    rows = []
+    rows, line_numbers = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
@@ -148,12 +148,19 @@ def ingest_csv(
                         f"{path}: unparseable cell at row {i + 1}, column {j + 1}: {cell!r}"
                     ) from None
             rows.append(parsed)
+            line_numbers.append(i + 1)
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
     matrix = np.asarray(rows, dtype=float)
+    non_finite = np.argwhere(~np.isfinite(matrix))
+    if non_finite.size:
+        r, j = non_finite[0]
+        raise ValueError(
+            f"{path}: non-finite cell at row {line_numbers[r]}, column {j + 1}: {rows[r][j]}"
+        )
     steps = [f"read {matrix.shape[0]}x{matrix.shape[1]} from {path}"]
     if drop_label:
         if matrix.shape[1] < 2:

@@ -26,11 +26,6 @@ class Message:
     values: tuple
 
 
-def per_user_rng(master_seed: int, user_index: int) -> np.random.Generator:
-    """Independent per-user RNG substream: master seed XOR user index."""
-    return np.random.default_rng(int(master_seed) ^ int(user_index))
-
-
 def encode_fixed_point(x: float, k: int, rng: np.random.Generator) -> int:
     """Unbiased stochastic fixed-point encoding of x in [0, 1] onto {0,...,k}.
 
@@ -84,13 +79,36 @@ def randomize_vector(
     return Message(coordinates=tuple(int(c) for c in coords), values=tuple(values))
 
 
+def _floyd_sample(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndarray:
+    """(n, t) int64 array whose rows are uniform t-subsets of {0, ..., d-1}.
+
+    Floyd's algorithm, one column per step: draw c from {0, ..., j} with
+    j = d - t + i; a row that already holds c takes j instead.  Built as
+    (t, n) so each step compares contiguous rows, then transposed.
+    """
+    cols = np.empty((t, n), dtype=np.int64)
+    for i in range(t):
+        j = d - t + i
+        c = rng.integers(0, j + 1, size=n)
+        if i:
+            c[(cols[:i] == c).any(axis=0)] = j
+        cols[i] = c
+    return cols.T.copy()
+
+
 def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     """Vectorized randomization of a whole (n, d) dataset.
 
-    Returns (coords, values), both of shape (n, t): per user, t distinct
-    sampled coordinate indices and the corresponding randomized values in
+    Returns (coords, values), both int64 of shape (n, t): per user, t
+    distinct coordinate indices and the corresponding randomized values in
     {0, ..., k}.  Equivalent in distribution to applying randomize_vector
     row by row, but draws the randomness in a batched order.
+
+    Each row's coordinates are a uniform t-subset of {0, ..., d-1}, drawn
+    by Floyd's algorithm (Bentley & Floyd, CACM 1987) in O(n t) memory and
+    O(n t^2) time.  The order within a row carries no meaning: column i
+    holds d - t + i more often than any other value.  At t = 1 the draw is
+    exactly rng.integers(0, d, size=n).
     """
     matrix = np.asarray(matrix, dtype=float)
     n, d = matrix.shape
@@ -99,12 +117,7 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
             f"dataset shape {matrix.shape} does not match params (n={params.n}, d={params.d})"
         )
     t, k = params.t, params.k
-    if t == 1:
-        coords = rng.integers(0, d, size=(n, 1))
-    else:
-        # row-wise sampling without replacement via random-key argpartition
-        keys = rng.random((n, d))
-        coords = np.argpartition(keys, t - 1, axis=1)[:, :t]
+    coords = _floyd_sample(rng, n, d, t)
     sampled = np.take_along_axis(matrix, coords, axis=1)
 
     scaled = sampled * k
@@ -114,7 +127,7 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     blanket = rng.random(scaled.shape) < params.gamma
     uniform = rng.integers(0, k + 1, size=scaled.shape)
     values = np.where(blanket, uniform, encoded).astype(np.int64)
-    return coords.astype(np.int64), values
+    return coords, values
 
 
 def messages_from_batch(coords, values):

@@ -112,6 +112,22 @@ class TestAggregate:
         with pytest.raises(MalformedMessageError):
             aggregate_arrays([[4]], [[0]], params)
 
+    @pytest.mark.parametrize(
+        "coords, values",
+        [
+            ([[0, 1], [2, 2]], [[0, 1], [1, 1]]),  # duplicate coordinate in a row
+            ([[0, 1, 2]], [[0, 1, 1]]),  # t=3 rows under t=2 params
+            ([[0, 1]], [[0, 1, 1]]),  # coords and values of different shapes
+            ([[0, 1]], [[2.5, 1]]),  # fractional value
+            ([[0.0, 1.0]], [[1, 1]]),  # float coordinates
+        ],
+    )
+    @pytest.mark.parametrize("fn", [aggregate_arrays, analyze_arrays])
+    def test_malformed_batches_rejected(self, fn, coords, values):
+        params = ProtocolParams(d=4, k=4, n=10, t=2, gamma=0.0)
+        with pytest.raises(MalformedMessageError):
+            fn(coords, values, params)
+
 
 class TestDebias:
     def test_gamma_zero_identity(self):

@@ -50,6 +50,13 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="row 2, column 3"):
             ingest_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_position(self, tmp_path, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"0.1,0.2,0.3\n0.4,{cell},0.6\n")
+        with pytest.raises(ValueError, match="non-finite cell at row 2, column 2"):
+            ingest_csv(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

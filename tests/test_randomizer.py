@@ -1,6 +1,8 @@
 """Local randomizer: fixed-point encoding, randomized response, coordinate
 sampling, and the vectorized batch path."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from shufflesum import (
     ProtocolParams,
     encode_fixed_point,
     messages_from_batch,
-    per_user_rng,
     randomize_batch,
     randomize_vector,
     randomized_response,
@@ -173,15 +174,6 @@ class TestRandomizeVector:
         assert a == b == Message(coordinates=a.coordinates, values=a.values)
 
 
-class TestPerUserRng:
-    def test_substreams_are_deterministic_and_distinct(self):
-        a = per_user_rng(42, 7).random(4)
-        b = per_user_rng(42, 7).random(4)
-        c = per_user_rng(42, 8).random(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-
 class TestRandomizeBatch:
     def _params(self, n=500, d=8, k=3, t=2, gamma=0.3):
         return ProtocolParams(d=d, k=k, n=n, t=t, gamma=gamma)
@@ -216,6 +208,41 @@ class TestRandomizeBatch:
         freq = np.bincount(coords.ravel(), minlength=5) / coords.size
         se = np.sqrt(0.2 * 0.8 / coords.size)
         assert np.all(np.abs(freq - 0.2) < 4 * se)
+
+    @pytest.mark.parametrize("d, t", [(5, 2), (6, 3)])
+    def test_subsets_jointly_uniform(self, d, t):
+        # every t-subset has probability 1/C(d, t); within-row order is
+        # not exchangeable under Floyd's algorithm, so only sets are compared
+        params = self._params(n=60_000, d=d, t=t, gamma=0.0)
+        coords, _ = randomize_batch(
+            np.full((params.n, d), 0.5), params, np.random.default_rng(12)
+        )
+        subsets = list(itertools.combinations(range(d), t))
+        index = {s: i for i, s in enumerate(subsets)}
+        hits = np.bincount(
+            [index[tuple(row)] for row in np.sort(coords, axis=1).tolist()],
+            minlength=len(subsets),
+        )
+        p = 1 / len(subsets)
+        se = np.sqrt(p * (1 - p) / params.n)
+        assert np.all(np.abs(hits / params.n - p) < 4 * se)
+
+    def test_t_equals_d_gives_permutations(self):
+        params = self._params(n=300, d=7, t=7)
+        coords, _ = randomize_batch(
+            np.full((params.n, params.d), 0.5), params, np.random.default_rng(13)
+        )
+        assert np.array_equal(np.sort(coords, axis=1), np.tile(np.arange(7), (300, 1)))
+
+    def test_t1_draw_matches_plain_integers(self):
+        # pins the t = 1 random stream: coordinates are rng.integers(0, d, n)
+        params = self._params(n=1000, d=9, t=1)
+        matrix = np.random.default_rng(0).random((params.n, params.d))
+        for seed in (0, 5, 77):
+            coords, _ = randomize_batch(matrix, params, np.random.default_rng(seed))
+            expected = np.random.default_rng(seed).integers(0, params.d, size=params.n)
+            assert coords.dtype == np.int64
+            assert np.array_equal(coords[:, 0], expected)
 
     def test_value_mean_matches_closed_form(self):
         # E[y] = (1-gamma) x k + gamma k/2 for constant input x
