@@ -12,13 +12,9 @@ from .accuracy import (
     fit_power_law,
 )
 from .aggregation import (
-    CoordinateAggregate,
     EstimateVector,
-    aggregate,
     aggregate_arrays,
-    analyze,
     analyze_arrays,
-    debias,
     estimate_average,
     shuffle,
 )
@@ -61,13 +57,6 @@ from .harness import (
     run_trial,
     trial_seed,
 )
-from .randomizer import (
-    Message,
-    encode_fixed_point,
-    messages_from_batch,
-    randomize_batch,
-    randomize_vector,
-    randomized_response,
-)
+from .randomizer import randomize_batch, randomize_vector, respond
 
 __version__ = "0.1.0"

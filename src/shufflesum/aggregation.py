@@ -1,9 +1,11 @@
 """Trusted shuffler simulation and the untrusted analyzer.
 
-The shuffler is an in-process uniform permutation: it only unbinds users
-from their submissions.  The analyzer buckets received values by
-coordinate, rescales by 1/k, and removes the expected blanket
-contribution (debiasing).
+Submissions travel as a pair of integer (m, t) arrays (coordinates and
+values, one row per user).  The shuffler is an in-process uniform
+permutation of the rows: it only unbinds users from their submissions.
+The analyzer validates the arrays (`aggregate_arrays` is the one
+validator), buckets received values by coordinate, rescales by 1/k, and
+removes the expected blanket contribution (debiasing).
 """
 
 from __future__ import annotations
@@ -14,17 +16,6 @@ import numpy as np
 
 from .calibration import ProtocolParams
 from .exceptions import InfeasibleParametersError, MalformedMessageError
-from .randomizer import Message
-
-
-@dataclass(frozen=True)
-class CoordinateAggregate:
-    """Per-coordinate tally: sum of received values / k, and how many
-    submissions carried this coordinate."""
-
-    coordinate: int
-    sum: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -35,54 +26,28 @@ class EstimateVector:
     counts: np.ndarray
 
 
-def shuffle(messages, rng: np.random.Generator):
-    """Uniformly random permutation of the message batch."""
-    if len(messages) == 0:
+def shuffle(coords, values, rng: np.random.Generator):
+    """The trusted shuffler: one uniform permutation, rng.permutation(m),
+    applied to the rows of both (m, t) arrays."""
+    coords = np.asarray(coords)
+    values = np.asarray(values)
+    if len(coords) == 0:
         raise ValueError("cannot shuffle an empty batch")
-    order = rng.permutation(len(messages))
-    return [messages[i] for i in order]
-
-
-def _validate_message(msg: Message, params: ProtocolParams):
-    if len(msg.coordinates) != params.t or len(msg.values) != params.t:
-        raise MalformedMessageError(
-            f"message carries {len(msg.coordinates)} entries, expected t={params.t}"
-        )
-    if len(set(msg.coordinates)) != len(msg.coordinates):
-        raise MalformedMessageError("message coordinates must be distinct")
-    for c, v in zip(msg.coordinates, msg.values):
-        if not (0 <= c < params.d):
-            raise MalformedMessageError(f"coordinate {c} outside [0, {params.d - 1}]")
-        if not (0 <= v <= params.k):
-            raise MalformedMessageError(f"value {v} outside [0, {params.k}]")
-
-
-def aggregate(messages, params: ProtocolParams):
-    """Per-coordinate sums (of value/k) and counts over a shuffled batch.
-
-    Coordinates never received report sum 0, count 0.  Raw values are
-    accumulated as integers and divided by k once at the end, so the
-    result is exactly invariant under any reordering of the batch.
-    """
-    raw = np.zeros(params.d, dtype=np.int64)
-    counts = np.zeros(params.d, dtype=np.int64)
-    for msg in messages:
-        _validate_message(msg, params)
-        for c, v in zip(msg.coordinates, msg.values):
-            raw[c] += v
-            counts[c] += 1
-    return [
-        CoordinateAggregate(coordinate=l, sum=raw[l] / params.k, count=int(counts[l]))
-        for l in range(params.d)
-    ]
+    if len(values) != len(coords):
+        raise ValueError(f"{len(coords)} coordinate rows but {len(values)} value rows")
+    perm = rng.permutation(len(coords))
+    return coords[perm], values[perm]
 
 
 def aggregate_arrays(coords, values, params: ProtocolParams):
-    """Vectorized aggregation of batched (coords, values) arrays.
+    """Per-coordinate sums (of value/k) and counts over a batch.
 
-    Both must be integer arrays of shape (m, t) with distinct coordinates
-    per row, or MalformedMessageError is raised.  Returns (sums, counts) as
-    length-d arrays; sums are already divided by k.
+    Both arrays must be integer (not bool) of shape (m, t), with values in
+    {0, ..., k} and distinct coordinates in {0, ..., d-1} per row, or
+    MalformedMessageError is raised.  Returns (sums, counts) as length-d
+    arrays; coordinates never received report sum 0, count 0.  Values are
+    summed as integers before the one division by k, so the result is
+    exactly invariant under any reordering of the rows.
     """
     coords = np.asarray(coords)
     values = np.asarray(values)
@@ -108,45 +73,24 @@ def aggregate_arrays(coords, values, params: ProtocolParams):
     return sums, counts
 
 
-def debias(agg: CoordinateAggregate, gamma: float, k: int) -> float:
-    """Remove the expected blanket contribution and the 1-gamma attenuation:
+def analyze_arrays(coords, values, params: ProtocolParams) -> EstimateVector:
+    """Full analyzer: aggregate the batch, then remove the expected blanket
+    contribution and the 1 - gamma attenuation per coordinate:
 
         (sum - (gamma/2) count) / (1 - gamma)
 
     The uniform blanket over {0,...,k} has mean k/2, so after the 1/k
     rescaling each blanket submission contributes exactly 1/2 in
-    expectation; k cancels and is accepted only for interface symmetry.
+    expectation.  gamma = 1 leaves no signal: InfeasibleParametersError.
     """
-    if not (0.0 <= gamma < 1.0):
-        raise InfeasibleParametersError(
-            f"debias requires gamma in [0, 1), got {gamma}"
-        )
-    return (agg.sum - (gamma / 2.0) * agg.count) / (1.0 - gamma)
-
-
-def _debias_arrays(sums, counts, gamma):
-    if not (0.0 <= gamma < 1.0):
-        raise InfeasibleParametersError(
-            f"debias requires gamma in [0, 1), got {gamma}"
-        )
-    return (sums - (gamma / 2.0) * counts) / (1.0 - gamma)
-
-
-def analyze(messages, params: ProtocolParams) -> EstimateVector:
-    """Full analyzer: aggregate the batch and debias each coordinate."""
-    aggs = aggregate(messages, params)
-    sums = np.array([a.sum for a in aggs])
-    counts = np.array([a.count for a in aggs], dtype=np.int64)
-    return EstimateVector(
-        values=_debias_arrays(sums, counts, params.gamma), counts=counts
-    )
-
-
-def analyze_arrays(coords, values, params: ProtocolParams) -> EstimateVector:
-    """Vectorized analyzer over batched arrays."""
     sums, counts = aggregate_arrays(coords, values, params)
+    gamma = params.gamma
+    if not (0.0 <= gamma < 1.0):
+        raise InfeasibleParametersError(
+            f"debias requires gamma in [0, 1), got {gamma}"
+        )
     return EstimateVector(
-        values=_debias_arrays(sums, counts, params.gamma), counts=counts
+        values=(sums - (gamma / 2.0) * counts) / (1.0 - gamma), counts=counts
     )
 
 

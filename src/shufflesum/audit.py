@@ -21,6 +21,7 @@ from scipy.stats import binom
 
 from .calibration import PrivacyBudget, ProtocolParams, compose_epsilon_prime
 from .exceptions import InfeasibleParametersError, InsufficientTrialsError
+from .randomizer import respond
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,7 @@ def simulate_outcome_counts(
     while done < trials:
         m = min(chunk, trials - done)
         coords = rng.integers(0, d, size=(m, n))
-        vals = matrix[np.arange(n)[None, :], coords]
-        scaled = vals * k
-        base = np.floor(scaled)
-        encoded = base + (rng.random(scaled.shape) < (scaled - base))
-        blanket = rng.random(scaled.shape) < params.gamma
-        uniform = rng.integers(0, k + 1, size=scaled.shape)
-        y = np.where(blanket, uniform, encoded).astype(np.int64)
+        y = respond(matrix[np.arange(n)[None, :], coords], k, params.gamma, rng)
         cells = coords * (k + 1) + y
         key = np.zeros(m, dtype=np.int64)
         for cell in range(ncells):
@@ -209,6 +204,17 @@ def monte_carlo_audit(
     an InsufficientTrialsError is raised; an outcome with mass above delta
     on one side and zero observed mass on the other is a hard failure at
     any epsilon.
+
+    Because outcomes at or below delta are skipped, a large delta leaves
+    little to test.  At the CLI's tiny instance (n=10, d=1, k=1, eps 0.99,
+    delta 0.9, final user 0 -> 1) only the all-zero outcome can exceed
+    delta, so every gamma above about 0.017 passes with epsilon 0,
+    including gamma = 0.05, a tenth of the calibrated 0.534.  That verdict
+    is right: the exact hockey-stick delta(0.99) at gamma = 0.05 is 0.72,
+    and on this instance the per-outcome rule and the exact set-level
+    divergence agree.  A gate that tells the calibration apart needs a
+    smaller delta or the exact epsilon of the calibrated gamma (ROADMAP
+    item 3).
     """
     data = np.asarray(pair.dataset, dtype=float)
     alt = np.array(data)

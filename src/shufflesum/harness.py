@@ -25,7 +25,7 @@ from .accuracy import (
     empirical_mse,
     fit_power_law,
 )
-from .aggregation import analyze_arrays
+from .aggregation import analyze_arrays, shuffle
 from .calibration import (
     PrivacyBudget,
     ProtocolParams,
@@ -210,8 +210,7 @@ def run_trial(matrix, params: ProtocolParams, rng: np.random.Generator) -> Trial
     truth = np.bincount(
         coords.ravel(), weights=sampled_true.ravel(), minlength=params.d
     )
-    perm = rng.permutation(params.n)  # the trusted shuffler
-    est = analyze_arrays(coords[perm], values[perm], params)
+    est = analyze_arrays(*shuffle(coords, values, rng), params)
     return empirical_mse(est, truth, params)
 
 

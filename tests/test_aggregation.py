@@ -4,106 +4,93 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shufflesum import (
-    CoordinateAggregate,
     InfeasibleParametersError,
     MalformedMessageError,
-    Message,
     ProtocolParams,
-    aggregate,
     aggregate_arrays,
-    analyze,
     analyze_arrays,
-    debias,
     estimate_average,
-    messages_from_batch,
     randomize_batch,
     shuffle,
 )
 
 
-def msg(*pairs):
-    return Message(
-        coordinates=tuple(p[0] for p in pairs), values=tuple(p[1] for p in pairs)
+def batch(*rows):
+    """(coords, values) int arrays from rows of (coordinate, value) pairs."""
+    return (
+        np.array([[c for c, _ in row] for row in rows]),
+        np.array([[v for _, v in row] for row in rows]),
     )
 
 
 class TestShuffle:
     def test_single_message_identity(self):
-        m = [msg((0, 1))]
-        assert shuffle(m, np.random.default_rng(0)) == m
+        coords, values = shuffle([[0]], [[1]], np.random.default_rng(0))
+        assert coords.tolist() == [[0]] and values.tolist() == [[1]]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            shuffle([], np.random.default_rng(0))
+            shuffle(np.empty((0, 1), int), np.empty((0, 1), int), np.random.default_rng(0))
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            shuffle([[0], [1]], [[1]], np.random.default_rng(0))
 
     def test_multiset_preserved(self):
-        batch = [msg((i % 4, i % 3)) for i in range(50)]
-        out = shuffle(batch, np.random.default_rng(1))
-        assert sorted(out, key=repr) == sorted(batch, key=repr)
+        coords = np.arange(50)[:, None] % 4
+        values = np.arange(50)[:, None] % 3
+        out_c, out_v = shuffle(coords, values, np.random.default_rng(1))
+        pairs = lambda c, v: sorted(zip(c.ravel().tolist(), v.ravel().tolist()))
+        assert pairs(out_c, out_v) == pairs(coords, values)
+        assert not np.array_equal(out_c, coords)  # rows did move
 
     def test_permutation_frequencies_uniform(self):
-        batch = [msg((0, 0)), msg((1, 1)), msg((2, 2))]
-        orders = {
-            perm: 0 for perm in itertools.permutations((0, 1, 2))
-        }
+        coords, values = batch([(0, 0)], [(1, 1)], [(2, 2)])
+        orders = {perm: 0 for perm in itertools.permutations((0, 1, 2))}
         rng = np.random.default_rng(2)
         draws = 100_000
         for _ in range(draws):
-            out = shuffle(batch, rng)
-            orders[tuple(m.coordinates[0] for m in out)] += 1
+            out_c, out_v = shuffle(coords, values, rng)
+            assert np.array_equal(out_c, out_v)  # rows stay paired
+            orders[tuple(out_c[:, 0].tolist())] += 1
         for count in orders.values():
             assert abs(count / draws - 1 / 6) < 0.01
+
+    def test_same_draw_as_one_permutation(self):
+        # the shuffler consumes exactly rng.permutation(m)
+        coords = np.arange(20)[:, None]
+        out_c, _ = shuffle(coords, coords, np.random.default_rng(3))
+        assert np.array_equal(out_c[:, 0], np.random.default_rng(3).permutation(20))
 
 
 class TestAggregate:
     def test_two_messages_same_cell(self):
         params = ProtocolParams(d=4, k=3, n=10, t=1, gamma=0.0)
-        aggs = aggregate([msg((2, 3)), msg((2, 3))], params)
-        assert aggs[2] == CoordinateAggregate(coordinate=2, sum=2.0, count=2)
+        sums, counts = aggregate_arrays(*batch([(2, 3)], [(2, 3)]), params)
+        assert sums[2] == 2.0 and counts[2] == 2
         # coordinates never received report (0, 0)
         for l in (0, 1, 3):
-            assert aggs[l].sum == 0.0 and aggs[l].count == 0
+            assert sums[l] == 0.0 and counts[l] == 0
 
     def test_sum_never_exceeds_count(self):
         params = ProtocolParams(d=6, k=4, n=300, t=2, gamma=0.5)
         matrix = np.random.default_rng(0).random((300, 6))
         coords, values = randomize_batch(matrix, params, np.random.default_rng(1))
-        for a in aggregate(messages_from_batch(coords, values), params):
-            assert a.sum <= a.count + 1e-12
+        sums, counts = aggregate_arrays(coords, values, params)
+        assert np.all(sums <= counts + 1e-12)
 
     def test_conservation(self):
         params = ProtocolParams(d=6, k=4, n=300, t=2, gamma=0.5)
         matrix = np.random.default_rng(0).random((300, 6))
         coords, values = randomize_batch(matrix, params, np.random.default_rng(1))
-        aggs = aggregate(messages_from_batch(coords, values), params)
-        assert sum(a.count for a in aggs) == params.n * params.t
         sums, counts = aggregate_arrays(coords, values, params)
         assert counts.sum() == params.n * params.t
-
-    def test_array_and_message_paths_agree(self):
-        params = ProtocolParams(d=5, k=3, n=200, t=2, gamma=0.4)
-        matrix = np.random.default_rng(3).random((200, 5))
-        coords, values = randomize_batch(matrix, params, np.random.default_rng(4))
-        sums, counts = aggregate_arrays(coords, values, params)
-        aggs = aggregate(messages_from_batch(coords, values), params)
-        assert np.array_equal(counts, [a.count for a in aggs])
-        assert np.array_equal(sums, [a.sum for a in aggs])
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            msg((0, 5)),  # value above k
-            msg((0, -1)),  # negative value
-            msg((4, 0)),  # coordinate out of range
-            msg((0, 0), (0, 1)),  # duplicate coordinate (also wrong t)
-        ],
-    )
-    def test_malformed_messages_rejected(self, bad):
-        params = ProtocolParams(d=4, k=4, n=10, t=1, gamma=0.0)
-        with pytest.raises(MalformedMessageError):
-            aggregate([bad], params)
+        assert sums.sum() * params.k == values.sum()
 
     def test_malformed_arrays_rejected(self):
         params = ProtocolParams(d=4, k=4, n=10, t=1, gamma=0.0)
@@ -120,6 +107,11 @@ class TestAggregate:
             ([[0, 1]], [[0, 1, 1]]),  # coords and values of different shapes
             ([[0, 1]], [[2.5, 1]]),  # fractional value
             ([[0.0, 1.0]], [[1, 1]]),  # float coordinates
+            ([[0, 1]], [[5, 1]]),  # value above k
+            ([[0, 1]], [[-1, 1]]),  # negative value
+            ([[4, 1]], [[0, 1]]),  # coordinate out of range
+            ([[0, 0]], [[0, 1]]),  # duplicate coordinate
+            ([[True, False]], [[1, 1]]),  # bool coordinates
         ],
     )
     @pytest.mark.parametrize("fn", [aggregate_arrays, analyze_arrays])
@@ -130,18 +122,26 @@ class TestAggregate:
 
 
 class TestDebias:
+    """analyze_arrays removes the blanket: (sum - (gamma/2) count) / (1 - gamma)."""
+
     def test_gamma_zero_identity(self):
-        a = CoordinateAggregate(coordinate=0, sum=3.25, count=7)
-        assert debias(a, 0.0, 3) == 3.25
+        params = ProtocolParams(d=2, k=4, n=10, t=1, gamma=0.0)
+        coords, values = batch(*[[(0, v)] for v in (4, 4, 2, 1, 1, 1, 0)])
+        est = analyze_arrays(coords, values, params)
+        assert est.values[0] == 3.25 and est.counts[0] == 7
 
     def test_hand_arithmetic(self):
-        a = CoordinateAggregate(coordinate=0, sum=10.0, count=20)
-        assert debias(a, 0.5, 3) == pytest.approx(10.0, rel=1e-15)
+        # sum 10, count 20, gamma 1/2: (10 - 5) / (1/2) = 10
+        params = ProtocolParams(d=2, k=1, n=20, t=1, gamma=0.5)
+        coords, values = batch(*[[(0, i % 2)] for i in range(20)])
+        est = analyze_arrays(coords, values, params)
+        assert est.values[0] == pytest.approx(10.0, rel=1e-15)
+        assert est.values[1] == 0.0
 
     def test_gamma_one_rejected(self):
-        a = CoordinateAggregate(coordinate=0, sum=1.0, count=2)
+        params = ProtocolParams(d=2, k=3, n=10, t=1, gamma=1.0)
         with pytest.raises(InfeasibleParametersError):
-            debias(a, 1.0, 3)
+            analyze_arrays(*batch([(0, 1)], [(0, 2)]), params)
 
     def test_monte_carlo_unbiasedness(self):
         # fixed inputs, randomness over the mechanism: E[z] = true sum
@@ -175,15 +175,6 @@ class TestAnalyze:
         est = analyze_arrays(coords, values, params)
         assert np.array_equal(est.values, np.zeros(4))
 
-    def test_message_and_array_paths_agree(self):
-        params = ProtocolParams(d=5, k=3, n=100, t=2, gamma=0.3)
-        matrix = np.random.default_rng(5).random((100, 5))
-        coords, values = randomize_batch(matrix, params, np.random.default_rng(6))
-        via_msgs = analyze(messages_from_batch(coords, values), params)
-        via_arrays = analyze_arrays(coords, values, params)
-        assert np.array_equal(via_msgs.values, via_arrays.values)
-        assert np.array_equal(via_msgs.counts, via_arrays.counts)
-
     def test_shuffle_invariance_is_exact(self):
         # the analyzer sees a multiset: any ordering gives bitwise-equal output
         params = ProtocolParams(d=7, k=3, n=500, t=2, gamma=0.6)
@@ -194,17 +185,15 @@ class TestAnalyze:
             perm = np.random.default_rng(seed).permutation(500)
             permuted = analyze_arrays(coords[perm], values[perm], params)
             assert np.array_equal(base.values, permuted.values)
-        msgs = messages_from_batch(coords, values)
-        shuffled = shuffle(msgs, np.random.default_rng(9))
-        assert np.array_equal(
-            analyze(msgs, params).values, analyze(shuffled, params).values
-        )
+        shuffled = analyze_arrays(*shuffle(coords, values, np.random.default_rng(9)), params)
+        assert np.array_equal(base.values, shuffled.values)
+        assert np.array_equal(base.counts, shuffled.counts)
 
 
 class TestEstimateAverage:
     def test_unreceived_coordinates_are_nan(self):
         params = ProtocolParams(d=3, k=2, n=10, t=1, gamma=0.0)
-        est = analyze([msg((0, 2)), msg((0, 2))], params)
+        est = analyze_arrays(*batch([(0, 2)], [(0, 2)]), params)
         avg = estimate_average(est, params)
         assert avg[0] == pytest.approx(1.0)
         assert np.isnan(avg[1]) and np.isnan(avg[2])
@@ -217,3 +206,36 @@ class TestEstimateAverage:
         coords, values = randomize_batch(matrix, params, np.random.default_rng(10))
         avg = estimate_average(analyze_arrays(coords, values, params), params)
         assert np.all(np.abs(avg - levels) < 0.05)
+
+
+ELEMENTS = {
+    np.int64: st.integers(-1, 6),
+    np.int32: st.integers(-1, 6),
+    np.uint64: st.integers(0, 6),
+    np.float64: st.floats(),
+    np.bool_: st.booleans(),
+}
+SHAPES = st.one_of(
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    st.tuples(st.integers(0, 6), st.just(2)),  # the right width, often valid
+)
+ARRAYS = st.sampled_from(list(ELEMENTS)).flatmap(
+    lambda dt: hnp.arrays(dt, SHAPES, elements=ELEMENTS[dt])
+)
+
+
+class TestValidatorFuzz:
+    """aggregate_arrays on arbitrary arrays: a MalformedMessageError or a
+    consistent result, never any other exception."""
+
+    @given(coords=ARRAYS, values=ARRAYS)
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_or_returns_consistent_counts(self, coords, values):
+        params = ProtocolParams(d=5, k=3, n=10, t=2, gamma=0.0)
+        try:
+            sums, counts = aggregate_arrays(coords, values, params)
+        except MalformedMessageError:
+            return
+        assert counts.shape == sums.shape == (params.d,)
+        assert counts.sum() == coords.shape[0] * params.t
+        assert np.all(sums <= counts)

@@ -2,6 +2,8 @@
 Monte-Carlo indistinguishability audit."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -19,9 +21,11 @@ from shufflesum import (
     compose_epsilon_prime,
     exact_tail_probability,
     monte_carlo_audit,
+    randomize_batch,
     sample_count_tail,
     tail_params_from_protocol,
 )
+from shufflesum.audit import simulate_outcome_counts
 
 mpmath.mp.dps = 50
 
@@ -283,3 +287,43 @@ class TestMonteCarloAudit:
             monte_carlo_audit(
                 pair, params, PrivacyBudget(0.5, 0.05), 1000, np.random.default_rng(5)
             )
+
+    def test_large_delta_gate_passes_gamma_within_budget(self):
+        # Outcomes estimated at <= delta are skipped.  At delta = 0.9 that
+        # leaves only the all-zero outcome testable, so gamma = 0.05, ten
+        # times below the calibrated 0.534, passes with epsilon 0 -- rightly:
+        # its exact hockey-stick delta(0.99) on this pair is 0.72 <= 0.9.
+        # gamma = 0.01 (exact delta(0.99) = 0.94) is caught.
+        b = PrivacyBudget(0.99, 0.9)
+        pair = NeighborPair(dataset=np.zeros((10, 1)), alt_last=np.ones(1))
+        verdicts = [
+            monte_carlo_audit(
+                pair, ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma), b,
+                100_000, np.random.default_rng(6),
+            )
+            for gamma in (0.05, 0.01)
+        ]
+        assert verdicts[0].passed and verdicts[0].empirical_epsilon == 0.0
+        assert not verdicts[1].passed and verdicts[1].empirical_epsilon > 2.0
+
+
+class TestSimulateOutcomeCounts:
+    def test_same_mechanism_and_stream_as_randomize_batch(self):
+        # m runs of n users equal one randomize_batch over the m-fold tiled
+        # dataset: at t = 1 both draw coordinates, encoding, blanket and
+        # uniform values from one stream in the same order
+        matrix = np.array([[0.0, 0.5], [1.0, 0.25], [0.3, 0.9]])
+        params = ProtocolParams(d=2, k=2, n=3, t=1, gamma=0.4)
+        n, cells, m = 3, 6, 2000
+        table = simulate_outcome_counts(matrix, params, m, np.random.default_rng(21))
+        coords, values = randomize_batch(
+            np.tile(matrix, (m, 1)), replace(params, n=m * n), np.random.default_rng(21)
+        )
+        per_run = (coords * (params.k + 1) + values).reshape(m, n)
+        expected = Counter(tuple(np.bincount(r, minlength=cells)) for r in per_run)
+        decoded = Counter()
+        for key, count in table.items():
+            digits = [(key // (n + 1) ** c) % (n + 1) for c in range(cells)]
+            decoded[tuple(digits)] += count
+        assert decoded == expected
+        assert len(expected) > 10

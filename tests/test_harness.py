@@ -1,5 +1,9 @@
 """Experiment harness and CLI: ingestion, sweeps, emission, exit codes."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,6 +167,22 @@ class TestRunTrial:
         seeds = {trial_seed(0, p, t) for p in range(10) for t in range(10)}
         assert len(seeds) == 100
         assert trial_seed(0, 1, 2) != trial_seed(1, 0, 2)
+
+
+def test_benchmark_traced_bindings_exist():
+    # perfbench/spans.py wraps these module attributes to time each layer;
+    # a renamed one would silently make its per-layer metric read 0.  The
+    # file is loaded by path and the tracer is not installed.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in spans.TARGETS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert spans.TARGETS and not missing
 
 
 def _small_sweep_config(tmp_path=None, **over):

@@ -1,5 +1,6 @@
-"""Local randomizer: fixed-point encoding, randomized response, coordinate
-sampling, and the vectorized batch path."""
+"""Local randomizer: the mechanism kernel (fixed-point encoding and
+randomized response), coordinate sampling, and the per-user and batch
+entry points."""
 
 import itertools
 
@@ -8,48 +9,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflesum import (
-    Message,
-    ProtocolParams,
-    encode_fixed_point,
-    messages_from_batch,
-    randomize_batch,
-    randomize_vector,
-    randomized_response,
-)
+from shufflesum import ProtocolParams, randomize_batch, randomize_vector, respond
 
 
 class TestEncodeFixedPoint:
+    """The encoding stage of `respond`, isolated by gamma = 0."""
+
     def test_exact_grid_points_are_deterministic(self):
         rng = np.random.default_rng(0)
-        assert encode_fixed_point(0.5, 2, rng) == 1
-        assert encode_fixed_point(1.0, 3, rng) == 3
-        assert encode_fixed_point(0.0, 7, rng) == 0
-        for _ in range(50):
-            assert encode_fixed_point(0.25, 4, rng) == 1
+        assert respond([0.5], 2, 0.0, rng).tolist() == [1]
+        assert respond([1.0], 3, 0.0, rng).tolist() == [3]
+        assert respond([0.0], 7, 0.0, rng).tolist() == [0]
+        assert np.all(respond(np.full(50, 0.25), 4, 0.0, rng) == 1)
 
     def test_rejects_out_of_range(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            encode_fixed_point(-0.1, 2, rng)
-        with pytest.raises(ValueError):
-            encode_fixed_point(1.1, 2, rng)
-        with pytest.raises(ValueError):
-            encode_fixed_point(0.5, 0, rng)
+        for bad in (-0.1, 1.1, np.nan):
+            with pytest.raises(ValueError):
+                respond([0.5, bad], 2, 0.0, rng)
 
     def test_bernoulli_mean(self):
         # x=0.3, k=1: output is Ber(0.3)
-        rng = np.random.default_rng(7)
         draws = 200_000
-        total = sum(encode_fixed_point(0.3, 1, rng) for _ in range(draws))
+        out = respond(np.full(draws, 0.3), 1, 0.0, np.random.default_rng(7))
         se = np.sqrt(0.3 * 0.7 / draws)
-        assert abs(total / draws - 0.3) < 3 * se
+        assert abs(out.mean() - 0.3) < 3 * se
 
     @given(x=st.floats(0.0, 1.0), k=st.integers(1, 20))
     @settings(max_examples=200)
     def test_output_in_domain_and_adjacent(self, x, k):
-        rng = np.random.default_rng(1)
-        v = encode_fixed_point(x, k, rng)
+        (v,) = respond([x], k, 0.0, np.random.default_rng(1))
         assert 0 <= v <= k
         assert abs(v - x * k) < 1.0 or v == x * k
 
@@ -66,32 +55,31 @@ class TestEncodeFixedPoint:
                 se = np.sqrt(max(frac * (1 - frac), 1e-12) / draws) / k
                 assert abs(mean - x) <= 3 * se + 1e-12
                 assert vals.var() <= 0.25 + 3e-3
-        # and the scalar op agrees with the closed form at one interior point
-        rng = np.random.default_rng(3)
-        vals = np.array([encode_fixed_point(0.55, 3, rng) for _ in range(50_000)])
+        # and the kernel agrees with the closed form at one interior point
+        vals = respond(np.full(50_000, 0.55), 3, 0.0, np.random.default_rng(3))
         assert vals.var() <= 1 / 4 + 5e-3  # raw-value variance cap, any k
         assert abs(vals.mean() / 3 - 0.55) < 3 * np.sqrt(0.25 / 50_000) / 3 + 1e-3
 
 
 class TestRandomizedResponse:
+    """The blanket stage of `respond`, on grid-point inputs whose encoding
+    is deterministic (x = v / k encodes to v)."""
+
     def test_gamma_zero_is_identity(self):
-        rng = np.random.default_rng(0)
-        for v in range(5):
-            assert randomized_response(v, 5, 0.0, rng) == v
+        v = np.arange(5)
+        assert np.array_equal(respond(v / 4, 4, 0.0, np.random.default_rng(0)), v)
 
     def test_gamma_one_is_uniform(self):
-        rng = np.random.default_rng(11)
         draws = 200_000
-        outs = np.array([randomized_response(2, 4, 1.0, rng) for _ in range(draws)])
+        outs = respond(np.full(draws, 2 / 3), 3, 1.0, np.random.default_rng(11))
         se = np.sqrt(0.25 * 0.75 / draws)
         for sym in range(4):
             assert abs((outs == sym).mean() - 0.25) < 4 * se
 
     def test_truth_retention_probability(self):
-        # Pr[output = v] = 1 - gamma + gamma/domain = 0.8 + 0.2/3
-        rng = np.random.default_rng(5)
+        # Pr[output = v] = 1 - gamma + gamma/(k+1) = 0.8 + 0.2/3
         draws = 200_000
-        outs = np.array([randomized_response(1, 3, 0.2, rng) for _ in range(draws)])
+        outs = respond(np.full(draws, 0.5), 2, 0.2, np.random.default_rng(5))
         p = 0.8 + 0.2 / 3
         se = np.sqrt(p * (1 - p) / draws)
         assert abs((outs == 1).mean() - p) < 3 * se
@@ -99,19 +87,21 @@ class TestRandomizedResponse:
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            randomized_response(5, 5, 0.1, rng)
+            respond([1.5], 4, 0.1, rng)
         with pytest.raises(ValueError):
-            randomized_response(-1, 5, 0.1, rng)
+            respond([-0.25], 4, 0.1, rng)
+        # k and gamma reach the kernel through a validated ProtocolParams
         with pytest.raises(ValueError):
-            randomized_response(0, 0, 0.1, rng)
+            ProtocolParams(d=1, k=0, n=10, t=1, gamma=0.1)
         with pytest.raises(ValueError):
-            randomized_response(0, 5, 1.5, rng)
+            ProtocolParams(d=1, k=4, n=10, t=1, gamma=1.5)
 
-    @given(v=st.integers(0, 9), gamma=st.floats(0.0, 1.0))
+    @given(x=st.floats(0.0, 1.0), k=st.integers(1, 9), gamma=st.floats(0.0, 1.0))
     @settings(max_examples=100)
-    def test_output_stays_in_domain(self, v, gamma):
-        rng = np.random.default_rng(2)
-        assert 0 <= randomized_response(v, 10, gamma, rng) < 10
+    def test_output_stays_in_domain(self, x, k, gamma):
+        out = respond(np.full(50, x), k, gamma, np.random.default_rng(2))
+        assert out.dtype == np.int64
+        assert out.min() >= 0 and out.max() <= k
 
 
 class TestRandomizeVector:
@@ -120,10 +110,9 @@ class TestRandomizeVector:
         k = 10**6
         params = ProtocolParams(d=3, k=k, n=10, t=3, gamma=0.0)
         x = np.array([0.123456, 0.9999, 0.5])
-        msg = randomize_vector(x, params, np.random.default_rng(0))
-        assert sorted(msg.coordinates) == [0, 1, 2]
-        for c, v in zip(msg.coordinates, msg.values):
-            assert abs(v / k - x[c]) <= 1 / k
+        coords, values = randomize_vector(x, params, np.random.default_rng(0))
+        assert sorted(coords.tolist()) == [0, 1, 2]
+        assert np.all(np.abs(values / k - x[coords]) <= 1 / k)
 
     def test_coordinate_sampling_uniform(self):
         params = ProtocolParams(d=4, k=2, n=10, t=1, gamma=0.1)
@@ -132,7 +121,7 @@ class TestRandomizeVector:
         draws = 20_000
         hits = np.zeros(4)
         for _ in range(draws):
-            hits[randomize_vector(x, params, rng).coordinates[0]] += 1
+            hits[randomize_vector(x, params, rng)[0][0]] += 1
         freq = hits / draws
         assert np.all(np.abs(freq - 0.25) < 0.01)
 
@@ -142,7 +131,7 @@ class TestRandomizeVector:
         x = np.array([0.0, 1.0])
         draws = 40_000
         vals = np.array(
-            [randomize_vector(x, params, rng).values[0] for _ in range(draws)]
+            [randomize_vector(x, params, rng)[1][0] for _ in range(draws)]
         )
         se = np.sqrt(0.25 * 0.75 / draws)
         for sym in range(4):
@@ -153,25 +142,30 @@ class TestRandomizeVector:
         rng = np.random.default_rng(1)
         x = np.linspace(0, 1, 6)
         for _ in range(200):
-            msg = randomize_vector(x, params, rng)
-            assert len(set(msg.coordinates)) == params.t
-            assert all(0 <= c < params.d for c in msg.coordinates)
-            assert all(0 <= v <= params.k for v in msg.values)
+            coords, values = randomize_vector(x, params, rng)
+            assert len(set(coords.tolist())) == params.t
+            assert coords.min() >= 0 and coords.max() < params.d
+            assert values.min() >= 0 and values.max() <= params.k
 
     def test_rejects_bad_vectors(self):
         params = ProtocolParams(d=3, k=2, n=10, t=1, gamma=0.1)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             randomize_vector([0.1, 0.2], params, rng)
-        with pytest.raises(ValueError):
-            randomize_vector([0.1, 0.2, 1.5], params, rng)
+        # the whole row is checked, not only the sampled coordinate
+        for bad in (1.5, -0.5, np.nan):
+            for _ in range(5):
+                with pytest.raises(ValueError):
+                    randomize_vector([0.1, 0.2, bad], params, rng)
 
     def test_deterministic_given_seed(self):
         params = ProtocolParams(d=5, k=3, n=10, t=2, gamma=0.4)
         x = np.linspace(0.1, 0.9, 5)
         a = randomize_vector(x, params, np.random.default_rng(123))
         b = randomize_vector(x, params, np.random.default_rng(123))
-        assert a == b == Message(coordinates=a.coordinates, values=a.values)
+        for arr_a, arr_b in zip(a, b):
+            assert arr_a.dtype == np.int64 and arr_a.shape == (params.t,)
+            assert np.array_equal(arr_a, arr_b)
 
 
 class TestRandomizeBatch:
@@ -254,12 +248,22 @@ class TestRandomizeBatch:
         se = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - expected) < 3 * se
 
-    def test_messages_from_batch_round_trip(self):
-        params = self._params(n=20)
-        matrix = np.random.default_rng(0).random((params.n, params.d))
-        coords, values = randomize_batch(matrix, params, np.random.default_rng(2))
-        msgs = messages_from_batch(coords, values)
-        assert len(msgs) == params.n
-        for i, msg in enumerate(msgs):
-            assert msg.coordinates == tuple(coords[i])
-            assert msg.values == tuple(values[i])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
+    def test_out_of_range_gathered_entry_rejected(self, bad):
+        # before the check, x = 1.5 at k = 4 came out as the value 6 and NaN
+        # as the int64 minimum; now every gathered entry must lie in [0, 1]
+        params = self._params(n=50, d=1, k=4, t=1)
+        matrix = np.full((params.n, 1), 0.5)
+        matrix[7, 0] = bad
+        with pytest.raises(ValueError):
+            randomize_batch(matrix, params, np.random.default_rng(0))
+
+    def test_only_gathered_entries_are_checked(self):
+        # an out-of-range entry that no user samples is never read
+        params = self._params(n=50, d=3, t=1)
+        matrix = np.full((params.n, params.d), 0.5)
+        coords, _ = randomize_batch(matrix, params, np.random.default_rng(0))
+        unsampled = next(c for c in range(params.d) if c != coords[0, 0])
+        matrix[0, unsampled] = 1.5
+        again, _ = randomize_batch(matrix, params, np.random.default_rng(0))
+        assert np.array_equal(coords, again)
