@@ -23,8 +23,9 @@ from .audit import (
     NeighborPair,
     TailParams,
     chernoff_upper_bound,
+    exact_audit,
     exact_tail_probability,
-    monte_carlo_audit,
+    outcome_distribution,
     sample_count_tail,
     tail_params_from_protocol,
 )
@@ -39,11 +40,7 @@ from .calibration import (
     choose_k_t1,
     compose_epsilon_prime,
 )
-from .exceptions import (
-    InfeasibleParametersError,
-    InsufficientTrialsError,
-    MalformedMessageError,
-)
+from .exceptions import InfeasibleParametersError, MalformedMessageError
 from .harness import (
     DatasetMatrix,
     ExperimentConfig,

@@ -5,10 +5,13 @@ Two routes are provided:
 * exact evaluation of the blanket-count tail events that the privacy
   calibration's Chernoff step upper-bounds (binomial tail sums), plus the
   closed-form Chernoff expressions themselves, and
-* a Monte-Carlo indistinguishability audit of the full mechanism on tiny
-  instances, estimating the empirical epsilon of the hockey-stick
-  inequality Pr[M(D) in E] <= e^eps Pr[M(D') in E] + delta over the
-  enumerable per-coordinate histogram outcomes.
+* an exact audit of the full t = 1 mechanism on tiny instances: the
+  shuffled output is a histogram over the d (k+1) (coordinate, value)
+  cells, its distribution is the convolution of the n users' categorical
+  distributions, and the hockey-stick divergence
+  delta(eps) = sum_o max(0, P(o) - e^eps Q(o)) of a neighbour pair is
+  summed over every outcome, in both directions.  No sampling is
+  involved, so the verdict is deterministic.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import numpy as np
 from scipy.stats import binom
 
 from .calibration import PrivacyBudget, ProtocolParams, compose_epsilon_prime
-from .exceptions import InfeasibleParametersError, InsufficientTrialsError
-from .randomizer import respond
+from .exceptions import InfeasibleParametersError
+
+# Largest dense outcome table outcome_distribution builds, in entries.
+MAX_OUTCOMES = 10**7
 
 
 @dataclass(frozen=True)
@@ -50,9 +55,12 @@ class NeighborPair:
 
 @dataclass(frozen=True)
 class AuditVerdict:
-    empirical_epsilon: float
+    """exact_epsilon is the smallest epsilon whose hockey-stick delta meets
+    the target delta; exact_delta is the delta at the target epsilon."""
+
+    exact_epsilon: float
+    exact_delta: float
     theoretical_epsilon: float
-    trials: int
     passed: bool
 
 
@@ -133,132 +141,102 @@ def sample_count_tail(n: int, t: int, d: int) -> float:
     return math.exp(-(n - 1) * t / (3.0 * d))
 
 
-def _wilson_interval(successes: int, trials: int, z: float = 1.96):
-    if trials == 0:
-        return 0.0, 1.0
-    phat = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (phat + z**2 / (2 * trials)) / denom
-    half = (
-        z
-        * math.sqrt(phat * (1.0 - phat) / trials + z**2 / (4.0 * trials**2))
-        / denom
-    )
-    return max(0.0, center - half), min(1.0, center + half)
+def outcome_distribution(matrix, params: ProtocolParams) -> np.ndarray:
+    """Exact distribution of the shuffled t = 1 mechanism's output on
+    `matrix`: the histogram of received values over the d (k+1) cells,
+    cell coordinate (k+1) + value.
 
-
-def simulate_outcome_counts(
-    matrix, params: ProtocolParams, trials: int, rng: np.random.Generator
-) -> dict:
-    """Frequency table of per-coordinate histogram outcomes of the shuffled
-    mechanism applied to `matrix`, over `trials` independent runs.
-
-    Only t = 1 is supported, which keeps the outcome (the d x (k+1)
-    contingency table of received values) enumerable at tiny scale.
-    Outcomes are encoded as a single integer key in base n+1 over the
-    d (k+1) cells.
+    The last cell holds n minus the others, so the result is a dense float
+    array of shape (n+1,) * (d(k+1) - 1) indexed by the counts of the
+    first d(k+1) - 1 cells (entries whose counts sum past n are 0).  It is
+    built by convolving in one user at a time.  A user with input x at
+    coordinate j lands in cell j (k+1) + y with probability
+    ((1 - gamma) enc(y) + gamma / (k+1)) / d, where enc puts 1 - f on
+    floor(x k) and f on floor(x k) + 1, f = x k - floor(x k): the law of
+    `randomizer.respond` after a uniform coordinate draw.
     """
     if params.t != 1:
         raise ValueError("outcome enumeration requires t = 1")
     matrix = np.asarray(matrix, dtype=float)
-    n, d = matrix.shape
-    k = params.k
-    ncells = d * (k + 1)
-    if (n + 1) ** ncells > 2**62:
+    n, d, k = params.n, params.d, params.k
+    if matrix.shape != (n, d):
         raise ValueError(
-            f"outcome space too large to encode ({ncells} cells, n={n})"
+            f"dataset shape {matrix.shape} does not match params (n={n}, d={d})"
         )
-    weights = (n + 1) ** np.arange(ncells, dtype=np.int64)
-    counts: dict = {}
-    chunk = max(1, min(trials, 4_000_000 // n))
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        coords = rng.integers(0, d, size=(m, n))
-        y = respond(matrix[np.arange(n)[None, :], coords], k, params.gamma, rng)
-        cells = coords * (k + 1) + y
-        key = np.zeros(m, dtype=np.int64)
-        for cell in range(ncells):
-            key += (cells == cell).sum(axis=1) * weights[cell]
-        uniq, cnt = np.unique(key, return_counts=True)
-        for u, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[u] = counts.get(u, 0) + c
-        done += m
-    return counts
+    if not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+        raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
+    free = d * (k + 1) - 1
+    if (n + 1) ** free > MAX_OUTCOMES:
+        raise ValueError(
+            f"outcome space too large to enumerate ((n+1)^{free} entries, n={n})"
+        )
+    levels = np.arange(k + 1)
+    scaled = matrix[:, :, None] * k
+    base = np.floor(scaled)
+    enc = np.where(levels == base, 1.0 - (scaled - base), 0.0)
+    enc += np.where(levels == base + 1, scaled - base, 0.0)
+    gamma = params.gamma
+    cell_probs = ((1.0 - gamma) * enc + gamma / (k + 1)).reshape(n, -1) / d
+    dist = np.zeros((n + 1,) * free)
+    dist[(0,) * free] = 1.0
+    # a count of n is unreachable before the last user joins, so the
+    # wrap-around of each one-cell shift only moves zeros
+    for probs in cell_probs:
+        dist = probs[-1] * dist + sum(
+            probs[cell] * np.roll(dist, 1, axis=cell) for cell in range(free)
+        )
+    return dist
 
 
-def monte_carlo_audit(
-    pair: NeighborPair,
-    params: ProtocolParams,
-    budget: PrivacyBudget,
-    trials: int,
-    rng: np.random.Generator,
+def exact_audit(
+    pair: NeighborPair, params: ProtocolParams, budget: PrivacyBudget
 ) -> AuditVerdict:
-    """Empirical hockey-stick audit of the full mechanism on a tiny instance.
+    """Exact hockey-stick audit of the t = 1 mechanism on a neighbour pair.
 
-    Simulates the mechanism on the dataset and on its neighbor (final user
-    replaced by alt_last), then estimates the largest
-    ln((Pr[M(D)=E] - delta) / Pr[M(D')=E]) over observed outcomes E, in
-    both directions.  Outcomes whose estimate exceeds delta must be
-    well-resolved (Wilson interval relative width <= 25% on both sides) or
-    an InsufficientTrialsError is raised; an outcome with mass above delta
-    on one side and zero observed mass on the other is a hard failure at
-    any epsilon.
+    P and Q are the outcome distributions on the dataset and on its
+    neighbour (final user replaced by alt_last), and
+    delta(eps) = max(sum_o max(0, P(o) - e^eps Q(o)), the same with P and
+    Q swapped).  The audit passes iff delta(budget.epsilon) <= budget.delta.
 
-    Because outcomes at or below delta are skipped, a large delta leaves
-    little to test.  At the CLI's tiny instance (n=10, d=1, k=1, eps 0.99,
-    delta 0.9, final user 0 -> 1) only the all-zero outcome can exceed
-    delta, so every gamma above about 0.017 passes with epsilon 0,
-    including gamma = 0.05, a tenth of the calibrated 0.534.  That verdict
-    is right: the exact hockey-stick delta(0.99) at gamma = 0.05 is 0.72,
-    and on this instance the per-outcome rule and the exact set-level
-    divergence agree.  A gate that tells the calibration apart needs a
-    smaller delta or the exact epsilon of the calibrated gamma (ROADMAP
-    item 3).
+    It also reports the smallest eps with delta(eps) <= budget.delta: 0
+    when delta(0) already meets it; infinite when the mass one side puts
+    where the other has none exceeds budget.delta, since delta(eps) never
+    falls below that mass; otherwise found by bisection to within 1e-9,
+    from above.
     """
     data = np.asarray(pair.dataset, dtype=float)
     alt = np.array(data)
     alt[-1] = np.asarray(pair.alt_last, dtype=float)
-    counts_a = simulate_outcome_counts(data, params, trials, rng)
-    counts_b = simulate_outcome_counts(alt, params, trials, rng)
+    p = outcome_distribution(data, params).ravel()
+    q = outcome_distribution(alt, params).ravel()
 
-    worst = 0.0
-    slack = 0.0
-    hard_failure = False
-    for num, den in ((counts_a, counts_b), (counts_b, counts_a)):
-        for key, c_num in num.items():
-            p_num = c_num / trials
-            if p_num <= budget.delta:
-                continue
-            c_den = den.get(key, 0)
-            if c_den == 0:
-                hard_failure = True
-                worst = math.inf
-                continue
-            p_den = c_den / trials
-            for c, p in ((c_num, p_num), (c_den, p_den)):
-                lo, hi = _wilson_interval(c, trials)
-                if (hi - lo) / p > 0.25:
-                    raise InsufficientTrialsError(
-                        f"outcome probability {p:.3g} resolved too coarsely "
-                        f"at {trials} trials"
-                    )
-            eps_here = math.log((p_num - budget.delta) / p_den)
-            # optimistic end of the interval, used as statistical slack
-            lo_num, _ = _wilson_interval(c_num, trials)
-            _, hi_den = _wilson_interval(c_den, trials)
-            if lo_num > budget.delta:
-                eps_low = math.log((lo_num - budget.delta) / hi_den)
+    def delta_at(eps):
+        scale = math.exp(eps)
+        return max(
+            float(np.maximum(p - scale * q, 0.0).sum()),
+            float(np.maximum(q - scale * p, 0.0).sum()),
+        )
+
+    if delta_at(0.0) <= budget.delta:
+        epsilon = 0.0
+    elif max(p[q == 0].sum(), q[p == 0].sum()) > budget.delta:
+        epsilon = math.inf
+    else:
+        # at the largest |ln P/Q| on the common support, delta is only the
+        # one-sided mass, which meets the target (checked above)
+        both = (p > 0) & (q > 0)
+        lo, hi = 0.0, float(np.abs(np.log(p[both] / q[both])).max())
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            if delta_at(mid) <= budget.delta:
+                hi = mid
             else:
-                eps_low = 0.0
-            if eps_here > worst:
-                worst = eps_here
-                slack = eps_here - min(eps_here, eps_low)
-    empirical = max(0.0, worst)
-    passed = (not hard_failure) and empirical <= budget.epsilon + slack
+                lo = mid
+        epsilon = hi
+    delta = delta_at(budget.epsilon)
     return AuditVerdict(
-        empirical_epsilon=empirical,
+        exact_epsilon=epsilon,
+        exact_delta=delta,
         theoretical_epsilon=budget.epsilon,
-        trials=trials,
-        passed=passed,
+        passed=delta <= budget.delta,
     )

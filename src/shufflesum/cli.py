@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: params (print calibration), run (single experiment),
-sweep (one-axis sweep), audit (tiny-instance indistinguishability audit),
+sweep (one-axis sweep), audit (exact tiny-instance privacy audit),
 ingest-check (validate a dataset file).
 
 Exit codes: 0 success, 1 usage error, 2 infeasible parameters,
@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .audit import NeighborPair, monte_carlo_audit
+from .audit import NeighborPair, exact_audit
 from .calibration import PrivacyBudget, compose_epsilon_prime
-from .exceptions import InfeasibleParametersError, InsufficientTrialsError
+from .exceptions import InfeasibleParametersError
 from .harness import (
     ExperimentConfig,
     emit_outputs,
@@ -166,18 +166,19 @@ def _cmd_sweep(args):
 
 
 def _cmd_audit(args):
+    """Exact audit of the all-zeros dataset against a final user of ones;
+    --trials and --seed are accepted and ignored, as by params."""
     config = _build_config(args)
     params, budget, _mode = resolve_point(config)
-    d = params.d
     pair = NeighborPair(
-        dataset=np.zeros((params.n, d)), alt_last=np.ones(d)
+        dataset=np.zeros((params.n, params.d)), alt_last=np.ones(params.d)
     )
-    rng = np.random.default_rng(config.seed)
-    verdict = monte_carlo_audit(pair, params, budget, config.trials, rng)
+    verdict = exact_audit(pair, params, budget)
     print(
-        f"empirical epsilon {verdict.empirical_epsilon:.4f} vs "
-        f"target {verdict.theoretical_epsilon:.4f} over {verdict.trials} trials: "
-        f"{'PASS' if verdict.passed else 'FAIL'}"
+        f"exact epsilon {verdict.exact_epsilon:.4f} vs "
+        f"target {verdict.theoretical_epsilon:.4f}; "
+        f"delta({budget.epsilon:g}) {verdict.exact_delta:.4g} vs "
+        f"target {budget.delta:g}: {'PASS' if verdict.passed else 'FAIL'}"
     )
     return EXIT_OK if verdict.passed else EXIT_AUDIT
 
@@ -221,9 +222,6 @@ def main(argv=None) -> int:
     except InfeasibleParametersError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except InsufficientTrialsError as exc:
-        print(f"audit inconclusive: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

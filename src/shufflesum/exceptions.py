@@ -8,7 +8,3 @@ class InfeasibleParametersError(ValueError):
 
 class MalformedMessageError(ValueError):
     """A submitted message violates the protocol's wire format."""
-
-
-class InsufficientTrialsError(RuntimeError):
-    """A Monte-Carlo estimate is too noisy to support a verdict."""

@@ -119,12 +119,7 @@ class SweepResult:
     amplitude: float | None = None
 
 
-def ingest_csv(
-    path,
-    drop_label: bool = False,
-    normalize: str = "clamp",
-    has_header: bool = False,
-) -> DatasetMatrix:
+def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> DatasetMatrix:
     """Read a CSV of real-valued rows into a [0, 1] matrix.
 
     drop_label removes the trailing column.  normalize="clamp" clips into
@@ -135,8 +130,6 @@ def ingest_csv(
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
-            if has_header and i == 0:
-                continue
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             parsed = []
@@ -254,13 +247,12 @@ def resolve_point(config: ExperimentConfig, value=None):
     return params, budget, mode
 
 
-def _point_bound(params: ProtocolParams, budget: PrivacyBudget) -> float:
-    report = (
-        bound_mse_t1(params, budget)
-        if params.t == 1
-        else bound_mse_general(params, budget)
-    )
-    return report.mse_bound
+def _point_bound(params: ProtocolParams, budget: PrivacyBudget, mode: str) -> float:
+    """The accuracy bound of the analysis gamma came from: the tightened
+    t = 1 bound only for the t1 calibration, the general bound otherwise
+    (manual mode included)."""
+    bound = bound_mse_t1 if mode == "t1" else bound_mse_general
+    return bound(params, budget).mse_bound
 
 
 def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
@@ -282,7 +274,7 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     fit_x, fit_y = [], []
     for pi, value in enumerate(points):
         try:
-            params, budget, _mode = resolve_point(config, value)
+            params, budget, mode = resolve_point(config, value)
         except InfeasibleParametersError as exc:
             result.skipped.append((value, str(exc)))
             result.summary.append(
@@ -300,7 +292,7 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
                 }
             )
             continue
-        bound = _point_bound(params, budget)
+        bound = _point_bound(params, budget, mode)
         data = fit_matrix(matrix, params.n, params.d)
         mses = []
         for ti in range(config.trials):
@@ -362,7 +354,7 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(row[h]) for h in header])
 
 
-def emit_outputs(result: SweepResult, out_dir, formats=("long", "summary", "plot")):
+def emit_outputs(result: SweepResult, out_dir):
     """Write the results tables under out_dir.  Returns the file paths.
 
     long.csv holds one row per (point, trial) with the seed needed to
@@ -375,14 +367,13 @@ def emit_outputs(result: SweepResult, out_dir, formats=("long", "summary", "plot
     if not result.rows:
         raise ValueError("nothing to emit: empty results")
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    if "long" in formats:
-        paths["long"] = os.path.join(out_dir, "long.csv")
-        _write_csv(paths["long"], LONG_HEADER, result.rows)
-    if "summary" in formats:
-        paths["summary"] = os.path.join(out_dir, "summary.csv")
-        _write_csv(paths["summary"], SUMMARY_HEADER, result.summary)
-    if "plot" in formats and result.exponent is not None:
+    paths = {
+        "long": os.path.join(out_dir, "long.csv"),
+        "summary": os.path.join(out_dir, "summary.csv"),
+    }
+    _write_csv(paths["long"], LONG_HEADER, result.rows)
+    _write_csv(paths["summary"], SUMMARY_HEADER, result.summary)
+    if result.exponent is not None:
         paths["plot"] = os.path.join(out_dir, "plot.csv")
         header = ("value", "mean_normalized_mse", "stderr_normalized_mse", "fitted")
         rows = []

@@ -23,9 +23,9 @@ from shufflesum import (
     choose_k_general,
     choose_k_t1,
     emit_outputs,
+    exact_audit,
     exact_tail_probability,
     fit_matrix,
-    monte_carlo_audit,
     randomize_batch,
     run_sweep,
     tail_params_from_protocol,
@@ -247,24 +247,35 @@ def test_criterion_09_tail_endpoint(request):
     )
 
 
-def test_criterion_10_monte_carlo_audit(request):
-    n, d, k, trials = 10, 1, 1, 10_000_000
+def test_criterion_10_exact_audit(request):
+    n, d, k = 10, 1, 1
     b = PrivacyBudget(0.99, 0.9)
-    gamma = calibrate_gamma_general(b, d, k, n, 1)
-    params = ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma)
     pair = NeighborPair(dataset=np.zeros((n, d)), alt_last=np.ones(d))
-    verdict = monte_carlo_audit(pair, params, b, trials, np.random.default_rng(0))
-    control_params = ProtocolParams(d=d, k=k, n=n, t=1, gamma=1.0)
-    control = monte_carlo_audit(
-        pair, control_params, PrivacyBudget(0.99, 0.01), trials,
-        np.random.default_rng(1),
+
+    def audit(gamma, budget=b):
+        return exact_audit(pair, ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma), budget)
+
+    verdict = audit(calibrate_gamma_general(b, d, k, n, 1))
+    control = audit(1.0, PrivacyBudget(0.99, 0.01))
+    under = audit(0.01)
+    blind = audit(0.0)
+    ok = (
+        verdict.passed
+        and verdict.exact_epsilon == 0.0
+        and control.exact_epsilon == 0.0
+        and not under.passed
+        and not blind.passed
+        and blind.exact_epsilon == math.inf
     )
-    ok = verdict.passed and control.empirical_epsilon <= 0.02
     check(
-        request, 10, "tiny-instance audit passes; gamma=1 control epsilon <= 0.02",
+        request, 10,
+        "exact tiny-instance audit passes; gamma=1 control epsilon 0; "
+        "gamma=0.01 and gamma=0 fail",
         ok,
-        f"audit eps {verdict.empirical_epsilon:.3f}, "
-        f"control eps {control.empirical_epsilon:.3f}",
+        f"delta(0.99) {verdict.exact_delta:.3g} at eps {verdict.exact_epsilon:.3f}, "
+        f"control eps {control.exact_epsilon:.3f}, "
+        f"gamma=0.01 delta(0.99) {under.exact_delta:.3f}, "
+        f"gamma=0 eps {blind.exact_epsilon}",
     )
 
 

@@ -1,8 +1,7 @@
 """Executable privacy analysis: exact tail events, Chernoff forms, and the
-Monte-Carlo indistinguishability audit."""
+exact hockey-stick audit."""
 
 import math
-from collections import Counter
 from dataclasses import replace
 
 import mpmath
@@ -11,7 +10,6 @@ import pytest
 
 from shufflesum import (
     InfeasibleParametersError,
-    InsufficientTrialsError,
     NeighborPair,
     PrivacyBudget,
     ProtocolParams,
@@ -19,13 +17,13 @@ from shufflesum import (
     calibrate_gamma_general,
     chernoff_upper_bound,
     compose_epsilon_prime,
+    exact_audit,
     exact_tail_probability,
-    monte_carlo_audit,
+    outcome_distribution,
     randomize_batch,
     sample_count_tail,
     tail_params_from_protocol,
 )
-from shufflesum.audit import simulate_outcome_counts
 
 mpmath.mp.dps = 50
 
@@ -229,6 +227,9 @@ class TestSampleCountTail:
 
 
 class TestMonteCarloAudit:
+    """The cases of the sampled audit this module once had, checked with
+    the exact audit that replaced it: each verdict is now deterministic."""
+
     def _tiny(self, gamma, n=6, d=1, k=1):
         params = ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma)
         pair = NeighborPair(dataset=np.zeros((n, d)), alt_last=np.ones(d))
@@ -236,38 +237,25 @@ class TestMonteCarloAudit:
 
     def test_pure_blanket_passes(self):
         params, pair = self._tiny(gamma=1.0)
-        verdict = monte_carlo_audit(
-            pair, params, PrivacyBudget(0.5, 0.05), 300_000, np.random.default_rng(0)
-        )
+        verdict = exact_audit(pair, params, PrivacyBudget(0.5, 0.05))
         assert verdict.passed
-        assert verdict.empirical_epsilon == 0.0
+        assert verdict.exact_epsilon == 0.0 and verdict.exact_delta == 0.0
         assert verdict.theoretical_epsilon == 0.5
-        assert verdict.trials == 300_000
 
     def test_identical_datasets_pass(self):
         params, _ = self._tiny(gamma=0.5)
         pair = NeighborPair(dataset=np.zeros((6, 1)), alt_last=np.zeros(1))
-        verdict = monte_carlo_audit(
-            pair, params, PrivacyBudget(0.3, 0.05), 300_000, np.random.default_rng(1)
-        )
+        verdict = exact_audit(pair, params, PrivacyBudget(0.3, 0.05))
         assert verdict.passed
-        assert verdict.empirical_epsilon <= 0.05
+        assert verdict.exact_epsilon == 0.0 and verdict.exact_delta == 0.0
 
     def test_no_blanket_is_a_hard_failure(self):
         # gamma=0 on distinct neighbors: disjoint outcomes witness a violation
         params, pair = self._tiny(gamma=0.0)
-        verdict = monte_carlo_audit(
-            pair, params, PrivacyBudget(0.5, 0.05), 50_000, np.random.default_rng(2)
-        )
+        verdict = exact_audit(pair, params, PrivacyBudget(0.5, 0.05))
         assert not verdict.passed
-        assert verdict.empirical_epsilon == math.inf
-
-    def test_insufficient_trials_raises(self):
-        params, pair = self._tiny(gamma=0.5)
-        with pytest.raises(InsufficientTrialsError):
-            monte_carlo_audit(
-                pair, params, PrivacyBudget(0.3, 0.05), 150, np.random.default_rng(3)
-            )
+        assert verdict.exact_epsilon == math.inf
+        assert verdict.exact_delta == 1.0
 
     def test_calibrated_tiny_instance_passes(self):
         b = PrivacyBudget(0.99, 0.9)
@@ -275,55 +263,122 @@ class TestMonteCarloAudit:
         assert gamma < 1.0
         params = ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma)
         pair = NeighborPair(dataset=np.zeros((10, 1)), alt_last=np.ones(1))
-        verdict = monte_carlo_audit(
-            pair, params, b, 300_000, np.random.default_rng(4)
-        )
-        assert verdict.passed
+        verdict = exact_audit(pair, params, b)
+        assert verdict.passed and verdict.exact_epsilon == 0.0
 
     def test_requires_t_equal_one(self):
         params = ProtocolParams(d=2, k=1, n=6, t=2, gamma=0.5)
         pair = NeighborPair(dataset=np.zeros((6, 2)), alt_last=np.ones(2))
         with pytest.raises(ValueError):
-            monte_carlo_audit(
-                pair, params, PrivacyBudget(0.5, 0.05), 1000, np.random.default_rng(5)
-            )
+            exact_audit(pair, params, PrivacyBudget(0.5, 0.05))
 
     def test_large_delta_gate_passes_gamma_within_budget(self):
-        # Outcomes estimated at <= delta are skipped.  At delta = 0.9 that
-        # leaves only the all-zero outcome testable, so gamma = 0.05, ten
-        # times below the calibrated 0.534, passes with epsilon 0 -- rightly:
-        # its exact hockey-stick delta(0.99) on this pair is 0.72 <= 0.9.
-        # gamma = 0.01 (exact delta(0.99) = 0.94) is caught.
+        # At delta = 0.9 on this pair, gamma = 0.05, ten times below the
+        # calibrated 0.534, rightly passes with epsilon 0: its exact
+        # delta(0) is already below 0.9.  gamma = 0.01 (delta(0.99) = 0.94)
+        # is a real violation and fails.
         b = PrivacyBudget(0.99, 0.9)
         pair = NeighborPair(dataset=np.zeros((10, 1)), alt_last=np.ones(1))
         verdicts = [
-            monte_carlo_audit(
-                pair, ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma), b,
-                100_000, np.random.default_rng(6),
-            )
+            exact_audit(pair, ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma), b)
             for gamma in (0.05, 0.01)
         ]
-        assert verdicts[0].passed and verdicts[0].empirical_epsilon == 0.0
-        assert not verdicts[1].passed and verdicts[1].empirical_epsilon > 2.0
+        assert verdicts[0].passed and verdicts[0].exact_epsilon == 0.0
+        assert not verdicts[1].passed and verdicts[1].exact_epsilon > 2.0
 
 
-class TestSimulateOutcomeCounts:
-    def test_same_mechanism_and_stream_as_randomize_batch(self):
-        # m runs of n users equal one randomize_batch over the m-fold tiled
-        # dataset: at t = 1 both draw coordinates, encoding, blanket and
-        # uniform values from one stream in the same order
-        matrix = np.array([[0.0, 0.5], [1.0, 0.25], [0.3, 0.9]])
-        params = ProtocolParams(d=2, k=2, n=3, t=1, gamma=0.4)
-        n, cells, m = 3, 6, 2000
-        table = simulate_outcome_counts(matrix, params, m, np.random.default_rng(21))
+def binomial_pair_delta(n, gamma, eps):
+    """Hockey-stick delta(eps), both directions, of the n-user, d = k = 1
+    pair (all zeros vs a final user of 1), from exact binomial pmfs: the
+    count of ones is Bin(n, gamma/2) against Bin(n-1, gamma/2) plus an
+    independent Ber(1 - gamma/2)."""
+    h = gamma / 2
+
+    def pmf(m, j):
+        return math.comb(m, j) * h**j * (1 - h) ** (m - j) if 0 <= j <= m else 0.0
+
+    p = [pmf(n, j) for j in range(n + 1)]
+    q = [pmf(n - 1, j) * h + pmf(n - 1, j - 1) * (1 - h) for j in range(n + 1)]
+    w = math.exp(eps)
+    return max(
+        sum(max(0.0, a - w * b) for a, b in zip(p, q)),
+        sum(max(0.0, b - w * a) for a, b in zip(p, q)),
+    )
+
+
+class TestExactAudit:
+    PAIR = NeighborPair(dataset=np.zeros((10, 1)), alt_last=np.ones(1))
+    BUDGET = PrivacyBudget(0.99, 0.9)
+
+    def _verdict(self, gamma):
+        params = ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma)
+        return exact_audit(self.PAIR, params, self.BUDGET)
+
+    def test_delta_matches_binomial_oracle(self):
+        calibrated = calibrate_gamma_general(self.BUDGET, d=1, k=1, n=10, t=1)
+        assert calibrated == pytest.approx(0.5341, abs=1e-4)
+        for gamma, expected in ((calibrated, 8.689e-4), (0.05, 0.7228), (0.01, 0.9382)):
+            oracle = binomial_pair_delta(10, gamma, 0.99)
+            assert oracle == pytest.approx(expected, rel=1e-3)
+            assert self._verdict(gamma).exact_delta == pytest.approx(oracle, rel=1e-9)
+
+    def test_epsilon_is_the_smallest_meeting_delta(self):
+        eps = self._verdict(0.01).exact_epsilon
+        assert binomial_pair_delta(10, 0.01, eps) <= 0.9
+        assert binomial_pair_delta(10, 0.01, eps - 1e-6) > 0.9
+
+
+class TestOutcomeDistribution:
+    MATRIX = np.array([[0.0, 0.5], [1.0, 0.25], [0.3, 0.9]])
+
+    def _params(self, gamma=0.4, **over):
+        return ProtocolParams(**{"d": 2, "k": 2, "n": 3, "t": 1, "gamma": gamma, **over})
+
+    def test_matches_randomize_batch_frequencies(self):
+        # m runs of the harness's mechanism, as one randomize_batch over the
+        # m-fold tiled dataset: each run's histogram over the 6 cells,
+        # indexed by the counts of the first 5, must land within 5 SE of the
+        # exact distribution on every outcome; the distribution at
+        # gamma = 0.35 must fail that check
+        params, m = self._params(), 200_000
         coords, values = randomize_batch(
-            np.tile(matrix, (m, 1)), replace(params, n=m * n), np.random.default_rng(21)
+            np.tile(self.MATRIX, (m, 1)),
+            replace(params, n=m * params.n),
+            np.random.default_rng(21),
         )
-        per_run = (coords * (params.k + 1) + values).reshape(m, n)
-        expected = Counter(tuple(np.bincount(r, minlength=cells)) for r in per_run)
-        decoded = Counter()
-        for key, count in table.items():
-            digits = [(key // (n + 1) ** c) % (n + 1) for c in range(cells)]
-            decoded[tuple(digits)] += count
-        assert decoded == expected
-        assert len(expected) > 10
+        cells = (coords * (params.k + 1) + values).reshape(m, params.n)
+        counts = np.stack([(cells == c).sum(axis=1) for c in range(5)])
+        freq = np.bincount(
+            np.ravel_multi_index(tuple(counts), (params.n + 1,) * 5),
+            minlength=(params.n + 1) ** 5,
+        ) / m
+
+        def within_5_se(dist):
+            p = dist.ravel()
+            return bool(np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / m)))
+
+        exact = outcome_distribution(self.MATRIX, params)
+        assert exact.shape == (4,) * 5
+        assert exact.sum() == pytest.approx(1.0, rel=1e-12)
+        assert np.count_nonzero(exact) == math.comb(3 + 5, 5)
+        assert within_5_se(exact)
+        assert not within_5_se(outcome_distribution(self.MATRIX, self._params(0.35)))
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            outcome_distribution(self.MATRIX, self._params(t=2))
+        with pytest.raises(ValueError):
+            outcome_distribution(self.MATRIX[:2], self._params())
+        for bad in (1.5, -0.25, np.nan):
+            matrix = self.MATRIX.copy()
+            matrix[1, 0] = bad
+            with pytest.raises(ValueError):
+                outcome_distribution(matrix, self._params())
+
+    def test_outcome_space_guard(self):
+        # the table has (n+1)^(d(k+1)-1) entries, at most 10^7
+        params = ProtocolParams(d=1, k=4, n=9, t=1, gamma=0.5)
+        assert outcome_distribution(np.zeros((9, 1)), params).size == 10**4
+        for n, k in ((9, 8), (10, 7)):  # 10^8 and 1.9e7 entries
+            with pytest.raises(ValueError, match="too large"):
+                outcome_distribution(np.zeros((n, 1)), replace(params, n=n, k=k))
