@@ -25,7 +25,7 @@ from .accuracy import (
     empirical_mse,
     fit_power_law,
 )
-from .aggregation import analyze_arrays, shuffle
+from .aggregation import analyze_arrays
 from .calibration import (
     PrivacyBudget,
     ProtocolParams,
@@ -35,7 +35,7 @@ from .calibration import (
     choose_k_t1,
 )
 from .exceptions import InfeasibleParametersError
-from .randomizer import randomize_batch
+from .randomizer import _randomize_rows
 
 SWEEP_AXES = ("t", "k", "d", "n", "eps")
 FITTED_AXES = ("d", "n", "eps")
@@ -178,7 +178,10 @@ def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> Data
 
 def fit_matrix(matrix, n: int, d: int) -> np.ndarray:
     """Adapt a raw matrix to (n, d): rows are truncated or recycled
-    cyclically, columns truncated or zero-padded."""
+    cyclically, columns truncated or zero-padded.
+
+    `run_sweep` asks for only min(rows, n) rows: `run_trial` gives user i
+    row i % rows of that table, so no (n, d) matrix is built."""
     matrix = np.asarray(matrix, dtype=float)
     rows, cols = matrix.shape
     out = matrix[np.arange(n) % rows]
@@ -195,15 +198,30 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_trial(matrix, params: ProtocolParams, rng: np.random.Generator) -> TrialResult:
-    """One full protocol round: randomize every user, shuffle, analyze,
-    and score against the sampled-coordinate true sums."""
-    coords, values = randomize_batch(matrix, params, rng)
-    sampled_true = np.take_along_axis(np.asarray(matrix, dtype=float), coords, axis=1)
-    truth = np.bincount(
-        coords.ravel(), weights=sampled_true.ravel(), minlength=params.d
-    )
-    est = analyze_arrays(*shuffle(coords, values, rng), params)
+def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialResult:
+    """One full protocol round: randomize every user, analyze, and score
+    against the sampled-coordinate true sums.
+
+    `table` is (rows, d) with 1 <= rows <= n, and user i holds row
+    i % rows, so an (n, d) matrix gives each user its own row.  No n x d
+    matrix is built: the (n, t) sampled entries are gathered once, and
+    both the randomizer and the true sums read them.
+
+    The shuffler's permutation is skipped, since it cannot change the
+    result: the analyzer sums integer values in float64, which is exact
+    while every sum stays below 2^53 (n k < 2^53 suffices), so its output
+    is bitwise the same for every row order.  The permutation was the
+    trial's last draw, so every other draw is unchanged.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != params.d or not 0 < len(table) <= params.n:
+        raise ValueError(
+            f"table shape {table.shape} must be (rows, d={params.d}) "
+            f"with 1 <= rows <= n={params.n}"
+        )
+    coords, sampled, values = _randomize_rows(table, params, rng)
+    truth = np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
+    est = analyze_arrays(coords, values, params)
     return empirical_mse(est, truth, params)
 
 
@@ -257,13 +275,20 @@ def _point_bound(params: ProtocolParams, budget: PrivacyBudget, mode: str) -> fl
 
 def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     """Execute all sweep points.  `matrix` overrides config.dataset with an
-    already-normalized raw matrix (rows x features, entries in [0, 1])."""
+    already-normalized raw matrix (rows x features, entries in [0, 1]).
+
+    Per point only the column-fitted table of min(rows, n) rows is built
+    (`fit_matrix`), and `run_trial` gives user i row i % rows, so memory
+    per point is O(rows d + n t), not O(n d)."""
     if matrix is None:
         if config.dataset is None:
             raise ValueError("no dataset: pass a matrix or set config.dataset")
         matrix = ingest_csv(
             config.dataset, drop_label=config.drop_label, normalize=config.normalize
         ).values
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or 0 in matrix.shape:
+        raise ValueError(f"matrix must be 2-D with rows and columns, got shape {matrix.shape}")
     if config.delta >= 1.0 / config.n:
         warnings.warn(
             f"delta = {config.delta:g} is large relative to 1/n = {1.0 / config.n:g}",
@@ -293,11 +318,11 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
             )
             continue
         bound = _point_bound(params, budget, mode)
-        data = fit_matrix(matrix, params.n, params.d)
+        table = fit_matrix(matrix, min(len(matrix), params.n), params.d)
         mses = []
         for ti in range(config.trials):
             seed = trial_seed(config.seed, pi, ti)
-            tr = run_trial(data, params, np.random.default_rng(seed))
+            tr = run_trial(table, params, np.random.default_rng(seed))
             mses.append(tr.normalized_mse)
             result.rows.append(
                 {

@@ -86,6 +86,17 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
         raise ValueError(
             f"dataset shape {matrix.shape} does not match params (n={params.n}, d={params.d})"
         )
-    coords = _floyd_sample(rng, n, d, params.t)
-    sampled = np.take_along_axis(matrix, coords, axis=1)
-    return coords, respond(sampled, params.k, params.gamma, rng)
+    coords, _, values = _randomize_rows(matrix, params, rng)
+    return coords, values
+
+
+def _randomize_rows(table: np.ndarray, params: ProtocolParams, rng: np.random.Generator):
+    """Sample, gather and respond for params.n users, user i holding row
+    i % len(table) of a float (rows, params.d) table (shape unchecked).
+    Returns (coords, sampled, values), each (n, t): the Floyd sample, the
+    true entries gathered at it, and `respond`'s output, drawn in order."""
+    coords = _floyd_sample(rng, params.n, params.d, params.t)
+    # flat offset of row i % len(table), one gather by flat index
+    starts = np.resize(np.arange(0, table.size, params.d), params.n)
+    sampled = np.take(table, starts[:, None] + coords)
+    return coords, sampled, respond(sampled, params.k, params.gamma, rng)

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,15 +13,18 @@ from shufflesum import (
     ExperimentConfig,
     InfeasibleParametersError,
     ProtocolParams,
+    analyze_arrays,
     bound_mse_general,
     empirical_mse,
     emit_outputs,
     fit_matrix,
     ingest_csv,
+    randomize_batch,
     read_long_csv,
     resolve_point,
     run_sweep,
     run_trial,
+    shuffle,
     trial_seed,
 )
 from shufflesum.cli import main
@@ -165,19 +169,51 @@ class TestRunTrial:
         assert a.normalized_mse == b.normalized_mse
         assert a.total_squared_error == b.total_squared_error
 
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("d", [4, 9])
+    def test_table_trial_matches_dense_composition(self, t, d):
+        # 7 raw rows recycled over n = 50 users (not a multiple of 7), with
+        # columns truncated (d = 4) or zero-padded (d = 9): the small table,
+        # the dense (n, d) matrix and the dense composition that shuffled
+        # before analyzing all give bitwise the same result
+        raw = np.random.default_rng(4).random((7, 6))
+        params = ProtocolParams(d=d, k=2, n=50, t=t, gamma=0.3)
+        dense = fit_matrix(raw, params.n, d)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            coords, values = randomize_batch(dense, params, rng)
+            sampled = np.take_along_axis(dense, coords, axis=1)
+            truth = np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=d)
+            est = analyze_arrays(*shuffle(coords, values, rng), params)
+            want = empirical_mse(est, truth, params)
+            for data in (fit_matrix(raw, 7, d), dense):
+                got = run_trial(data, params, np.random.default_rng(seed))
+                assert got.total_squared_error == want.total_squared_error
+                assert got.normalized_mse == want.normalized_mse
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (0, 5), (11, 5)])
+    def test_rejects_bad_table(self, shape):
+        # not 2-D, a column count other than d, no rows, more rows than n
+        params = ProtocolParams(d=5, k=2, n=10, t=1, gamma=0.2)
+        with pytest.raises(ValueError, match="table shape"):
+            run_trial(np.zeros(shape), params, np.random.default_rng(0))
+
     def test_trial_seeds_are_distinct(self):
         seeds = {trial_seed(0, p, t) for p in range(10) for t in range(10)}
         assert len(seeds) == 100
         assert trial_seed(0, 1, 2) != trial_seed(1, 0, 2)
 
 
-# Traced by perfbench/spans.py but deleted with the sampled audit, which
-# the exact audit replaced; their per-layer metrics read 0 until the spans
-# name exact_audit.
+# Traced by perfbench/spans.py but no longer bound there; their per-layer
+# metrics read 0 until the spans are updated.  The first three went with
+# the sampled audit, which the exact audit replaced; the harness no longer
+# calls randomize_batch, since run_trial samples through the randomizer's
+# shared sample-gather-respond routine.
 RETIRED_BINDINGS = {
     "shufflesum.cli.monte_carlo_audit",
     "shufflesum.audit.monte_carlo_audit",
     "shufflesum.audit.simulate_outcome_counts",
+    "shufflesum.harness.randomize_batch",
 }
 
 
@@ -230,6 +266,11 @@ class TestRunSweep:
         assert len(result.skipped) == 1 and result.skipped[0][0] == 0.05
         skipped_row = next(s for s in result.summary if s["status"] == "skipped")
         assert skipped_row["reason"]
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 5), (5,)])
+    def test_rejects_empty_or_flat_matrix(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            run_sweep(_small_sweep_config(), matrix=np.zeros(shape))
 
     def test_all_points_infeasible_raises(self, small_matrix):
         cfg = _small_sweep_config(values=(0.01, 0.02))
