@@ -7,7 +7,6 @@ from .accuracy import (
     TrialResult,
     bound_mse_general,
     bound_mse_t1,
-    bound_sigma,
     empirical_mse,
     fit_power_law,
 )
@@ -26,14 +25,12 @@ from .audit import (
     exact_audit,
     exact_tail_probability,
     outcome_distribution,
-    sample_count_tail,
     tail_params_from_protocol,
 )
 from .calibration import (
     ComposedBudget,
     PrivacyBudget,
     ProtocolParams,
-    advanced_composition,
     calibrate_gamma_general,
     calibrate_gamma_t1,
     choose_k_general,
@@ -48,7 +45,6 @@ from .harness import (
     emit_outputs,
     fit_matrix,
     ingest_csv,
-    read_long_csv,
     resolve_point,
     run_sweep,
     run_trial,

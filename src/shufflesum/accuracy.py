@@ -33,7 +33,6 @@ class BoundReport:
     """Closed-form accuracy bound with its regime/branch tag."""
 
     mse_bound: float
-    sigma_bound: float
     branch: str
 
 
@@ -82,7 +81,7 @@ def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> BoundRep
         * inner ** (2.0 / 3.0)
         / ((1.0 - params.gamma) ** 2 * n ** (5.0 / 3.0) * eps ** (4.0 / 3.0))
     )
-    return BoundReport(mse_bound=mse, sigma_bound=math.sqrt(mse), branch=branch)
+    return BoundReport(mse_bound=mse, branch=branch)
 
 
 def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> BoundReport:
@@ -106,41 +105,7 @@ def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> BoundReport:
             18.0 / (4.0 * eps) ** (2.0 / 3.0),
         )
         branch = "low-t1"
-    return BoundReport(mse_bound=mse, sigma_bound=math.sqrt(mse), branch=branch)
-
-
-def bound_sigma(params: ProtocolParams, budget: PrivacyBudget) -> BoundReport:
-    """Standard-deviation bound, transcribed from the displayed sigma
-    formulas directly (not derived from the MSE evaluators); equals the
-    square root of the matching MSE bound up to floating-point error.
-    """
-    _check_feasible(params)
-    d, n, t = params.d, params.n, params.t
-    eps, delta = budget.epsilon, budget.delta
-    denom = (1.0 - params.gamma) * n ** (5.0 / 6.0)
-    d43 = d ** (4.0 / 3.0)
-    if t == 1:
-        log2d = math.log(2.0 / delta)
-        if budget.high_regime:
-            sigma = (d43 / denom) * max(
-                2.0 ** 0.5 * (20.0 * log2d) ** (1.0 / 3.0) / eps ** (2.0 / 3.0),
-                2.0 ** 0.5 * 9.0 ** (1.0 / 3.0) / (11.0 * eps) ** (1.0 / 3.0),
-            )
-            branch = "high-t1"
-        else:
-            sigma = (d43 / denom) * max(
-                98.0 ** (1.0 / 6.0) * log2d ** (1.0 / 3.0) / eps ** (2.0 / 3.0),
-                18.0 ** 0.5 / (4.0 * eps) ** (1.0 / 3.0),
-            )
-            branch = "low-t1"
-    else:
-        loglog = math.log(1.0 / delta) * math.log(2.0 * t / delta)
-        if budget.high_regime:
-            lead, inner, branch = (8.0 * t) ** 0.5, 63.0 * loglog, "high-general"
-        else:
-            lead, inner, branch = (2.0 * t) ** 0.5, 14.0 * loglog, "low-general"
-        sigma = lead * d43 * inner ** (1.0 / 3.0) / (denom * eps ** (2.0 / 3.0))
-    return BoundReport(mse_bound=sigma**2, sigma_bound=sigma, branch=branch)
+    return BoundReport(mse_bound=mse, branch=branch)
 
 
 def fit_power_law(xs, ys):

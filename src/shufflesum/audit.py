@@ -131,16 +131,6 @@ def chernoff_upper_bound(tp: TailParams) -> float:
     return first + second
 
 
-def sample_count_tail(n: int, t: int, d: int) -> float:
-    """Chernoff bound exp(-(n-1) t / (3d)) on the probability that a
-    coordinate is sampled at least twice its expected (n-1) t / d times."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not (1 <= t <= d):
-        raise ValueError(f"t must be in [1, d], got t={t}, d={d}")
-    return math.exp(-(n - 1) * t / (3.0 * d))
-
-
 def outcome_distribution(matrix, params: ProtocolParams) -> np.ndarray:
     """Exact distribution of the shuffled t = 1 mechanism's output on
     `matrix`: the histogram of received values over the d (k+1) cells,
@@ -204,9 +194,12 @@ def exact_audit(
     falls below that mass; otherwise found by bisection to within 1e-9,
     from above.
     """
+    alt_last = np.asarray(pair.alt_last, dtype=float)
+    if alt_last.shape != (params.d,):
+        raise ValueError(f"alt_last shape {alt_last.shape} must be (d,) = ({params.d},)")
     data = np.asarray(pair.dataset, dtype=float)
     alt = np.array(data)
-    alt[-1] = np.asarray(pair.alt_last, dtype=float)
+    alt[-1] = alt_last
     p = outcome_distribution(data, params).ravel()
     q = outcome_distribution(alt, params).ravel()
 

@@ -10,6 +10,7 @@ high regime (1 <= epsilon < 6).  Budgets with epsilon >= 6 are rejected.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .exceptions import InfeasibleParametersError
@@ -40,7 +41,8 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Fully calibrated mechanism configuration (d, k, n, t, gamma)."""
+    """Fully calibrated mechanism configuration (d, k, n, t, gamma).
+    d, k, n and t must be integers (numpy integers included, bool not)."""
 
     d: int
     k: int
@@ -49,6 +51,10 @@ class ProtocolParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("d", "k", "n", "t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.k < 1:
@@ -90,23 +96,6 @@ def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> ComposedBudget:
         epsilon_prime=budget.epsilon / denom,
         delta_prime=budget.delta / r,
         r=r,
-    )
-
-
-def advanced_composition(epsilon_prime: float, r: int, delta: float) -> float:
-    """Cumulative epsilon after r-fold adaptive composition of
-    (epsilon', delta')-DP mechanisms, with slack delta:
-
-        epsilon = sqrt(2 r ln(1/delta)) eps' + r eps' (e^eps' - 1)
-    """
-    if epsilon_prime < 0:
-        raise ValueError(f"epsilon_prime must be >= 0, got {epsilon_prime}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return math.sqrt(2.0 * r * math.log(1.0 / delta)) * epsilon_prime + r * epsilon_prime * (
-        math.expm1(epsilon_prime)
     )
 
 

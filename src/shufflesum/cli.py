@@ -112,17 +112,13 @@ def _build_config(args, need_axis=False) -> ExperimentConfig:
             fields[key] = cli
     axis = fields.pop("axis", None)
     raw_values = fields.pop("values", None)
-    kwargs = dict(fields)
-    if need_axis:
-        if axis is None or raw_values is None:
-            raise ValueError("sweep requires --axis and --values")
-        kwargs["axis"] = axis
-        kwargs["values"] = (
-            raw_values
-            if isinstance(raw_values, tuple)
-            else _parse_values(axis, raw_values)
-        )
-    return ExperimentConfig(**kwargs)
+    if not need_axis:
+        if axis is not None or raw_values is not None:
+            raise ValueError("axis and values apply only to the sweep subcommand")
+        return ExperimentConfig(**fields)
+    if axis is None or raw_values is None:
+        raise ValueError("sweep requires --axis and --values")
+    return ExperimentConfig(axis=axis, values=_parse_values(axis, raw_values), **fields)
 
 
 def _cmd_params(args):

@@ -4,7 +4,7 @@ parameter sweeps with CSV emission.
 A sweep varies exactly one axis (t, k, d, n or eps) while every other
 parameter stays at its configured value.  Per sweep point the blanket
 probability is recalibrated; for the d, n and eps axes the quantization
-level is re-chosen as well (unless pinned via auto_k=False), since a k
+level is re-chosen as well (except under manual calibration), since a k
 tuned for one operating point is far from optimal elsewhere and would
 distort the dependency being measured.
 """
@@ -81,7 +81,6 @@ class ExperimentConfig:
     normalize: str = "clamp"  # clamp | minmax
     calibration: str = "auto"  # auto | general | t1 | manual
     gamma: float | None = None
-    auto_k: bool | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -113,7 +112,6 @@ class SweepResult:
     config: ExperimentConfig
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
     exponent: float | None = None
     r_squared: float | None = None
     amplitude: float | None = None
@@ -242,11 +240,8 @@ def resolve_point(config: ExperimentConfig, value=None):
         mode = "t1" if pc.t == 1 else "general"
     if mode == "t1" and pc.t != 1:
         raise ValueError("t1 calibration requires t = 1")
-    auto_k = config.auto_k
-    if auto_k is None:
-        auto_k = config.axis in FITTED_AXES and mode != "manual"
     k = pc.k
-    if auto_k:
+    if config.axis in FITTED_AXES and mode != "manual":
         if mode == "t1":
             k = choose_k_t1(budget, pc.d, pc.n)
         else:
@@ -273,6 +268,11 @@ def _point_bound(params: ProtocolParams, budget: PrivacyBudget, mode: str) -> fl
     return bound(params, budget).mse_bound
 
 
+def _summary_row(label, status: str, **fields) -> dict:
+    """One summary.csv row; the columns a point did not reach stay empty."""
+    return {**dict.fromkeys(SUMMARY_HEADER, ""), **label, "status": status, **fields}
+
+
 def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     """Execute all sweep points.  `matrix` overrides config.dataset with an
     already-normalized raw matrix (rows x features, entries in [0, 1]).
@@ -289,33 +289,22 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValueError(f"matrix must be 2-D with rows and columns, got shape {matrix.shape}")
-    if config.delta >= 1.0 / config.n:
+    # 1/n is smallest at the largest n the sweep runs
+    n_max = max(map(int, config.values)) if config.axis == "n" else config.n
+    if config.delta >= 1.0 / n_max:
         warnings.warn(
-            f"delta = {config.delta:g} is large relative to 1/n = {1.0 / config.n:g}",
+            f"delta = {config.delta:g} is large relative to 1/n = {1.0 / n_max:g}",
             stacklevel=2,
         )
     points = list(config.values) if config.axis is not None else [None]
     result = SweepResult(config=config)
     fit_x, fit_y = [], []
     for pi, value in enumerate(points):
+        label = {"axis": config.axis or "none", "value": "" if value is None else value}
         try:
             params, budget, mode = resolve_point(config, value)
         except InfeasibleParametersError as exc:
-            result.skipped.append((value, str(exc)))
-            result.summary.append(
-                {
-                    "axis": config.axis or "none",
-                    "value": value if value is not None else "",
-                    "status": "skipped",
-                    "k": "",
-                    "gamma": "",
-                    "trials": 0,
-                    "mean_normalized_mse": "",
-                    "stderr_normalized_mse": "",
-                    "bound_mse": "",
-                    "reason": str(exc),
-                }
-            )
+            result.summary.append(_summary_row(label, "skipped", trials=0, reason=str(exc)))
             continue
         bound = _point_bound(params, budget, mode)
         table = fit_matrix(matrix, min(len(matrix), params.n), params.d)
@@ -326,8 +315,7 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
             mses.append(tr.normalized_mse)
             result.rows.append(
                 {
-                    "axis": config.axis or "none",
-                    "value": value if value is not None else "",
+                    **label,
                     "trial": ti,
                     "seed": seed,
                     "total_sq_err": tr.total_squared_error,
@@ -339,18 +327,16 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
         mean = float(mses.mean())
         stderr = float(mses.std(ddof=1) / math.sqrt(len(mses))) if len(mses) > 1 else 0.0
         result.summary.append(
-            {
-                "axis": config.axis or "none",
-                "value": value if value is not None else "",
-                "status": "ok",
-                "k": params.k,
-                "gamma": params.gamma,
-                "trials": config.trials,
-                "mean_normalized_mse": mean,
-                "stderr_normalized_mse": stderr,
-                "bound_mse": bound,
-                "reason": "",
-            }
+            _summary_row(
+                label,
+                "ok",
+                k=params.k,
+                gamma=params.gamma,
+                trials=config.trials,
+                mean_normalized_mse=mean,
+                stderr_normalized_mse=stderr,
+                bound_mse=bound,
+            )
         )
         if config.axis in FITTED_AXES:
             fit_x.append(float(value))
@@ -416,25 +402,3 @@ def emit_outputs(result: SweepResult, out_dir):
             )
         _write_csv(paths["plot"], header, rows)
     return paths
-
-
-def read_long_csv(path):
-    """Parse a long-form results CSV back into row dicts (round-trip aid)."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != LONG_HEADER:
-            raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                {
-                    "axis": row["axis"],
-                    "value": row["value"],
-                    "trial": int(row["trial"]),
-                    "seed": int(row["seed"]),
-                    "total_sq_err": float(row["total_sq_err"]),
-                    "normalized_mse": float(row["normalized_mse"]),
-                    "bound_mse": float(row["bound_mse"]),
-                }
-            )
-    return out

@@ -13,7 +13,6 @@ from shufflesum import (
     analyze_arrays,
     bound_mse_general,
     bound_mse_t1,
-    bound_sigma,
     calibrate_gamma_general,
     calibrate_gamma_t1,
     choose_k_general,
@@ -191,6 +190,35 @@ class TestBoundMseT1:
         )
 
 
+def bound_sigma(params, budget):
+    """(sigma, branch): the standard-deviation bound, transcribed from the
+    paper's displayed sigma formulas directly rather than derived from the
+    MSE evaluators, as an independent check on their transcription."""
+    d, n, t = params.d, params.n, params.t
+    eps, delta = budget.epsilon, budget.delta
+    denom = (1.0 - params.gamma) * n ** (5.0 / 6.0)
+    d43 = d ** (4.0 / 3.0)
+    if t == 1:
+        log2d = math.log(2.0 / delta)
+        if budget.high_regime:
+            sigma = (d43 / denom) * max(
+                2.0 ** 0.5 * (20.0 * log2d) ** (1.0 / 3.0) / eps ** (2.0 / 3.0),
+                2.0 ** 0.5 * 9.0 ** (1.0 / 3.0) / (11.0 * eps) ** (1.0 / 3.0),
+            )
+            return sigma, "high-t1"
+        sigma = (d43 / denom) * max(
+            98.0 ** (1.0 / 6.0) * log2d ** (1.0 / 3.0) / eps ** (2.0 / 3.0),
+            18.0 ** 0.5 / (4.0 * eps) ** (1.0 / 3.0),
+        )
+        return sigma, "low-t1"
+    loglog = math.log(1.0 / delta) * math.log(2.0 * t / delta)
+    if budget.high_regime:
+        lead, inner, branch = (8.0 * t) ** 0.5, 63.0 * loglog, "high-general"
+    else:
+        lead, inner, branch = (2.0 * t) ** 0.5, 14.0 * loglog, "low-general"
+    return lead * d43 * inner ** (1.0 / 3.0) / (denom * eps ** (2.0 / 3.0)), branch
+
+
 class TestBoundSigma:
     def test_sqrt_identity_on_random_grid(self):
         rng = np.random.default_rng(0)
@@ -204,16 +232,16 @@ class TestBoundSigma:
             p = ProtocolParams(d=d, k=3, n=n, t=t, gamma=gamma)
             b = PrivacyBudget(eps, delta)
             mse = bound_mse_t1(p, b) if t == 1 else bound_mse_general(p, b)
-            sig = bound_sigma(p, b)
-            assert sig.sigma_bound == pytest.approx(
-                math.sqrt(mse.mse_bound), rel=1e-12
-            )
-            assert sig.branch == mse.branch
+            sigma, branch = bound_sigma(p, b)
+            assert sigma == pytest.approx(math.sqrt(mse.mse_bound), rel=1e-12)
+            assert branch == mse.branch
 
     def test_defaults_finite_positive(self):
-        got = bound_sigma(_params(gamma=0.17052972638400138), PrivacyBudget(0.95, 0.5))
-        assert 0 < got.sigma_bound < math.inf
-        assert got.branch == "low-t1"
+        sigma, branch = bound_sigma(
+            _params(gamma=0.17052972638400138), PrivacyBudget(0.95, 0.5)
+        )
+        assert 0 < sigma < math.inf
+        assert branch == "low-t1"
 
 
 class TestEmpiricalBelowBound:

@@ -2,6 +2,7 @@
 exact hockey-stick audit."""
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -21,7 +22,6 @@ from shufflesum import (
     exact_tail_probability,
     outcome_distribution,
     randomize_batch,
-    sample_count_tail,
     tail_params_from_protocol,
 )
 
@@ -200,32 +200,6 @@ class TestChernoffUpperBound:
             assert exact <= chernoff_upper_bound(tp)
 
 
-class TestSampleCountTail:
-    def test_reference_values(self):
-        assert sample_count_tail(50000, 1, 100) == pytest.approx(
-            math.exp(-49999 / 300), rel=1e-15
-        )
-        assert sample_count_tail(1000, 7, 7) == pytest.approx(
-            math.exp(-999 / 3), rel=1e-15
-        )
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            sample_count_tail(1, 1, 1)
-        with pytest.raises(ValueError):
-            sample_count_tail(100, 3, 2)
-
-    def test_empirical_frequency_below_bound(self):
-        n, t, d = 200, 1, 10
-        bound = sample_count_tail(n, t, d)
-        rng = np.random.default_rng(1)
-        rounds = 100_000
-        # occupancy of one fixed coordinate among the other n-1 users
-        s = rng.binomial(n - 1, t / d, size=rounds)
-        freq = np.mean(s >= 2 * (n - 1) * t / d)
-        assert freq <= bound
-
-
 class TestMonteCarloAudit:
     """The cases of the sampled audit this module once had, checked with
     the exact audit that replaced it: each verdict is now deterministic."""
@@ -326,6 +300,15 @@ class TestExactAudit:
         eps = self._verdict(0.01).exact_epsilon
         assert binomial_pair_delta(10, 0.01, eps) <= 0.9
         assert binomial_pair_delta(10, 0.01, eps - 1e-6) > 0.9
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_rejects_alt_last_not_of_shape_d(self, shape):
+        # a scalar or (1,) input would broadcast over all d coordinates and
+        # audit a different pair
+        params = ProtocolParams(d=2, k=1, n=3, t=1, gamma=0.5)
+        pair = NeighborPair(dataset=np.zeros((3, 2)), alt_last=np.ones(shape))
+        with pytest.raises(ValueError, match=re.escape(f"alt_last shape {shape}")):
+            exact_audit(pair, params, self.BUDGET)
 
 
 class TestOutcomeDistribution:

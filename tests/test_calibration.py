@@ -4,6 +4,7 @@ quantization-level selection."""
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from shufflesum import (
     InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
-    advanced_composition,
     calibrate_gamma_general,
     calibrate_gamma_t1,
     choose_k_general,
@@ -66,6 +66,20 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["d", "k", "n", "t"])
+    @pytest.mark.parametrize("bad", [2.5, 4.0, np.float64(3.0), True])
+    def test_rejects_non_integer_fields(self, field, bad):
+        # k = 2.5 would draw values from {0..3} and debias by 2.5; k = True
+        # would run as k = 1
+        kwargs = dict(d=5, k=2, n=10, t=1, gamma=0.1)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ProtocolParams(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        p = ProtocolParams(d=np.int64(5), k=np.int32(2), n=np.int64(10), t=np.uint8(1), gamma=0.1)
+        assert (p.d, p.k, p.n, p.t) == (5, 2, 10, 1)
+
 
 class TestComposeEpsilonPrime:
     def test_low_regime_four_folds(self):
@@ -113,6 +127,25 @@ class TestComposeEpsilonPrime:
             compose_epsilon_prime(b, r + 1).epsilon_prime
             < compose_epsilon_prime(b, r).epsilon_prime
         )
+
+
+def advanced_composition(epsilon_prime, r, delta):
+    """Cumulative epsilon after r-fold adaptive composition of
+    (epsilon', delta')-DP mechanisms, with slack delta:
+
+        epsilon = sqrt(2 r ln(1/delta)) eps' + r eps' (e^eps' - 1)
+
+    The round trip through compose_epsilon_prime checks its safety factor.
+    """
+    if epsilon_prime < 0:
+        raise ValueError(f"epsilon_prime must be >= 0, got {epsilon_prime}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    return math.sqrt(2.0 * r * math.log(1.0 / delta)) * epsilon_prime + r * epsilon_prime * (
+        math.expm1(epsilon_prime)
+    )
 
 
 class TestAdvancedComposition:

@@ -1,5 +1,6 @@
 """Experiment harness and CLI: ingestion, sweeps, emission, exit codes."""
 
+import csv
 import importlib
 import importlib.util
 import re
@@ -20,7 +21,6 @@ from shufflesum import (
     fit_matrix,
     ingest_csv,
     randomize_batch,
-    read_long_csv,
     resolve_point,
     run_sweep,
     run_trial,
@@ -28,6 +28,7 @@ from shufflesum import (
     trial_seed,
 )
 from shufflesum.cli import main
+from shufflesum.harness import LONG_HEADER
 
 
 class TestIngestCsv:
@@ -263,14 +264,22 @@ class TestRunSweep:
         statuses = {s["value"]: s["status"] for s in result.summary}
         assert statuses[0.05] == "skipped"
         assert statuses[0.6] == "ok" and statuses[0.9] == "ok"
-        assert len(result.skipped) == 1 and result.skipped[0][0] == 0.05
-        skipped_row = next(s for s in result.summary if s["status"] == "skipped")
-        assert skipped_row["reason"]
+        (skipped_row,) = [s for s in result.summary if s["status"] == "skipped"]
+        assert skipped_row["value"] == 0.05 and skipped_row["reason"]
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 5), (5,)])
     def test_rejects_empty_or_flat_matrix(self, shape):
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             run_sweep(_small_sweep_config(), matrix=np.zeros(shape))
+
+    def test_delta_warning_uses_the_largest_swept_n(self, small_matrix):
+        # every point has delta >= 1/n although the configured n does not
+        cfg = _small_sweep_config(
+            n=100, axis="n", values=(100000, 200000, 400000), delta=1e-3, trials=1
+        )
+        with pytest.warns(UserWarning, match="1/n = 2.5e-06") as record:
+            run_sweep(cfg, matrix=small_matrix)
+        assert len(record) == 1
 
     def test_all_points_infeasible_raises(self, small_matrix):
         cfg = _small_sweep_config(values=(0.01, 0.02))
@@ -303,7 +312,8 @@ class TestRunSweep:
         cfg = _small_sweep_config(
             axis="n", values=(5000, 10000, 20000), delta=1e-4, trials=2
         )
-        result = run_sweep(cfg, matrix=small_matrix)
+        with pytest.warns(UserWarning):  # delta >= 1/n at n = 20000
+            result = run_sweep(cfg, matrix=small_matrix)
         assert result.exponent is not None and result.r_squared is not None
         # non-axis parameters identical across points
         for s in result.summary:
@@ -326,16 +336,21 @@ class TestEmitOutputs:
         cfg = _small_sweep_config(
             axis="n", values=(5000, 10000, 20000), delta=1e-4, trials=2
         )
-        result = run_sweep(cfg, matrix=small_matrix)
+        with pytest.warns(UserWarning):  # delta >= 1/n at n = 20000
+            result = run_sweep(cfg, matrix=small_matrix)
         paths = emit_outputs(result, tmp_path / "out1")
         assert set(paths) == {"long", "summary", "plot"}
-        rows = read_long_csv(paths["long"])
+        with open(paths["long"], newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert tuple(reader.fieldnames) == LONG_HEADER
         assert len(rows) == len(result.rows)
         for got, want in zip(rows, result.rows):
-            assert got["seed"] == want["seed"]
-            assert got["normalized_mse"] == want["normalized_mse"]
+            assert int(got["seed"]) == want["seed"]
+            assert float(got["normalized_mse"]) == want["normalized_mse"]
         # re-running the identical config is byte-identical
-        result2 = run_sweep(cfg, matrix=small_matrix)
+        with pytest.warns(UserWarning):
+            result2 = run_sweep(cfg, matrix=small_matrix)
         paths2 = emit_outputs(result2, tmp_path / "out2")
         assert (
             open(paths["long"], "rb").read() == open(paths2["long"], "rb").read()
@@ -396,18 +411,19 @@ class TestCli:
 
     def test_sweep_writes_outputs(self, signal_csv, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
-        code = main(
-            [
-                "sweep",
-                "--dataset", str(signal_csv),
-                "--drop-label",
-                "--d", "5", "--k", "2", "--n", "5000",
-                "--eps", "0.6", "--delta", "0.0001",
-                "--axis", "n", "--values", "5000,10000",
-                "--trials", "2", "--seed", "3",
-                "--out-dir", str(out_dir),
-            ]
-        )
+        with pytest.warns(UserWarning):  # delta >= 1/n at n = 10000
+            code = main(
+                [
+                    "sweep",
+                    "--dataset", str(signal_csv),
+                    "--drop-label",
+                    "--d", "5", "--k", "2", "--n", "5000",
+                    "--eps", "0.6", "--delta", "0.0001",
+                    "--axis", "n", "--values", "5000,10000",
+                    "--trials", "2", "--seed", "3",
+                    "--out-dir", str(out_dir),
+                ]
+            )
         assert code == 0
         assert (out_dir / "long.csv").exists()
         assert (out_dir / "summary.csv").exists()
@@ -424,6 +440,17 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "mse=" in out
+
+    @pytest.mark.parametrize("command", ["run", "params"])
+    def test_config_file_sweep_keys_need_sweep(self, signal_csv, tmp_path, command, capsys):
+        # without the check, run would quietly run one point and exit 0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "d=5\nk=2\nn=5000\neps=0.6\ndelta=0.0001\ntrials=1\n"
+            f"dataset={signal_csv}\ndrop_label=true\naxis=d\nvalues=50,100,200\n"
+        )
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "sweep" in capsys.readouterr().err
 
     def test_bad_config_file_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
