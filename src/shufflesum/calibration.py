@@ -52,17 +52,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         for name in ("d", "k", "n", "t"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not (1 <= self.t <= self.d):
-            raise ValueError(f"t must be in [1, d], got t={self.t}, d={self.d}")
+            _check_integer(name, getattr(self, name))
+        _check_dims(self.d, self.n, self.t, self.k)
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
@@ -99,9 +90,18 @@ def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> ComposedBudget:
     )
 
 
-def _check_dims(d: int, n: int, t: int):
+def _check_integer(name: str, value):
+    """The integer rule for d, k, n and t: numpy integers pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_dims(d: int, n: int, t: int, k: int = 1):
+    """The range rules for d, k, n and t; the choose_k_* callers have no k yet."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not (1 <= t <= d):
@@ -127,9 +127,7 @@ def calibrate_gamma_general(
     the low regime and C = 2016 in the high regime.  Raises
     InfeasibleParametersError when the formula exceeds 1.
     """
-    _check_dims(d, n, t)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_dims(d, n, t, k)
     const = 2016.0 if budget.high_regime else 56.0
     gamma = (
         const
@@ -150,9 +148,7 @@ def calibrate_gamma_t1(budget: PrivacyBudget, d: int, k: int, n: int) -> float:
     High regime: gamma = max{ 80 d k ln(2/delta) / ((n-1) eps^2),
                               36 d k / (11 (n-1) eps) }
     """
-    _check_dims(d, n, 1)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_dims(d, n, 1, k)
     eps, delta = budget.epsilon, budget.delta
     log2d = math.log(2.0 / delta)
     if budget.high_regime:

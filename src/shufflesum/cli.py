@@ -1,8 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: shufflesum <command> [flags].
 
-Subcommands: params (print calibration), run (single experiment),
+Commands: params (print calibration), run (single experiment),
 sweep (one-axis sweep), audit (exact tiny-instance privacy audit),
-ingest-check (validate a dataset file).
+ingest-check (validate a dataset file).  The flags, and the keys of a
+--config file, are ExperimentConfig's fields (`_` written as `-` in a
+flag); axis and values are for sweep only.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible parameters,
 3 I/O error, 4 audit failure.
@@ -19,6 +21,8 @@ from .audit import NeighborPair, exact_audit
 from .calibration import PrivacyBudget, compose_epsilon_prime
 from .exceptions import InfeasibleParametersError
 from .harness import (
+    CHOICES,
+    SETTING_TYPES,
     ExperimentConfig,
     emit_outputs,
     ingest_csv,
@@ -40,42 +44,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dataset")
-    p.add_argument("--drop-label", action="store_true", default=None)
-    p.add_argument("--normalize", choices=("clamp", "minmax"))
-    p.add_argument("--calibration", choices=("auto", "general", "t1", "manual"))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--out-dir")
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-_CONFIG_TYPES = {
-    "d": int,
-    "k": int,
-    "n": int,
-    "t": int,
-    "eps": float,
-    "delta": float,
-    "trials": int,
-    "seed": int,
-    "dataset": str,
-    "drop_label": lambda s: s.lower() in ("1", "true", "yes"),
-    "normalize": str,
-    "calibration": str,
-    "gamma": float,
-    "out_dir": str,
-    "axis": str,
-    "values": str,
-}
+def _parse_bool(text):
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not one of 1/true/yes or 0/false/no") from None
+
+
+# How a setting's text is read; str settings and the sweep's values list
+# stay text (values are typed by their axis in _build_config).
+_PARSE = {int: int, float: float, bool: _parse_bool}
 
 
 def _read_config_file(path):
@@ -87,42 +68,40 @@ def _read_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
+            key, _, text = line.partition("=")
+            key, text = key.strip().replace("-", "_"), text.strip()
+            if key not in SETTING_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _CONFIG_TYPES[key](value.strip())
+            try:
+                value = _PARSE.get(SETTING_TYPES[key], str)(text)
+                if key in CHOICES and value not in CHOICES[key]:
+                    raise ValueError(f"{text!r} is not one of {CHOICES[key]}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+            out[key] = value
     return out
 
 
-def _parse_values(axis, raw):
-    parts = [p for p in raw.split(",") if p.strip()]
-    if axis == "eps":
-        return tuple(float(p) for p in parts)
-    return tuple(int(p) for p in parts)
-
-
-def _build_config(args, need_axis=False) -> ExperimentConfig:
-    fields = {}
-    if getattr(args, "config", None):
-        fields.update(_read_config_file(args.config))
-    for key in _CONFIG_TYPES:
-        cli = getattr(args, key, None)
-        if cli is not None:
-            fields[key] = cli
-    axis = fields.pop("axis", None)
-    raw_values = fields.pop("values", None)
-    if not need_axis:
-        if axis is not None or raw_values is not None:
+def _build_config(args) -> ExperimentConfig:
+    settings = _read_config_file(args.config) if args.config else {}
+    for key in SETTING_TYPES:
+        value = getattr(args, key)
+        if value is not None:
+            settings[key] = value
+    if args.command != "sweep":
+        if "axis" in settings or "values" in settings:
             raise ValueError("axis and values apply only to the sweep subcommand")
-        return ExperimentConfig(**fields)
-    if axis is None or raw_values is None:
+    elif "axis" not in settings or "values" not in settings:
         raise ValueError("sweep requires --axis and --values")
-    return ExperimentConfig(axis=axis, values=_parse_values(axis, raw_values), **fields)
+    else:
+        kind = SETTING_TYPES[settings["axis"]]
+        settings["values"] = tuple(
+            kind(p) for p in settings["values"].split(",") if p.strip()
+        )
+    return ExperimentConfig(**settings)
 
 
-def _cmd_params(args):
-    config = _build_config(args)
+def _cmd_params(config):
     params, budget, mode = resolve_point(config)
     composed = compose_epsilon_prime(budget, params.t)
     print(f"calibration mode: {mode}")
@@ -133,7 +112,8 @@ def _cmd_params(args):
     return EXIT_OK
 
 
-def _run_and_emit(config):
+def _cmd_run(config):
+    """run and sweep: one point, or one per sweep value."""
     result = run_sweep(config)
     for s in result.summary:
         if s["status"] == "ok":
@@ -153,18 +133,9 @@ def _run_and_emit(config):
     return EXIT_OK
 
 
-def _cmd_run(args):
-    return _run_and_emit(_build_config(args))
-
-
-def _cmd_sweep(args):
-    return _run_and_emit(_build_config(args, need_axis=True))
-
-
-def _cmd_audit(args):
+def _cmd_audit(config):
     """Exact audit of the all-zeros dataset against a final user of ones;
     --trials and --seed are accepted and ignored, as by params."""
-    config = _build_config(args)
     params, budget, _mode = resolve_point(config)
     pair = NeighborPair(
         dataset=np.zeros((params.n, params.d)), alt_last=np.ones(params.d)
@@ -179,8 +150,7 @@ def _cmd_audit(args):
     return EXIT_OK if verdict.passed else EXIT_AUDIT
 
 
-def _cmd_ingest_check(args):
-    config = _build_config(args)
+def _cmd_ingest_check(config):
     if config.dataset is None:
         raise ValueError("ingest-check requires --dataset")
     ds = ingest_csv(
@@ -192,27 +162,29 @@ def _cmd_ingest_check(args):
     return EXIT_OK
 
 
+COMMANDS = {
+    "params": _cmd_params,
+    "run": _cmd_run,
+    "sweep": _cmd_run,
+    "audit": _cmd_audit,
+    "ingest-check": _cmd_ingest_check,
+}
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="shufflesum", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn in (
-        ("params", _cmd_params),
-        ("run", _cmd_run),
-        ("sweep", _cmd_sweep),
-        ("audit", _cmd_audit),
-        ("ingest-check", _cmd_ingest_check),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "sweep":
-            p.add_argument("--axis", choices=("t", "k", "d", "n", "eps"))
-            p.add_argument("--values", help="comma-separated sweep values")
-        p.set_defaults(func=fn)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="flat key=value config file; flags override it")
+    for name, kind in SETTING_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, type=_PARSE.get(kind, str), choices=CHOICES.get(name))
 
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return COMMANDS[args.command](_build_config(args))
     except SystemExit as exc:
         return int(exc.code or 0)
     except InfeasibleParametersError as exc:

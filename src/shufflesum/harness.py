@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import typing
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -29,6 +30,7 @@ from .aggregation import analyze_arrays
 from .calibration import (
     PrivacyBudget,
     ProtocolParams,
+    _check_integer,
     calibrate_gamma_general,
     calibrate_gamma_t1,
     choose_k_general,
@@ -39,6 +41,13 @@ from .randomizer import _randomize_rows
 
 SWEEP_AXES = ("t", "k", "d", "n", "eps")
 FITTED_AXES = ("d", "n", "eps")
+# The allowed values of ExperimentConfig's string settings (axis may also
+# be None: no sweep).
+CHOICES = {
+    "axis": SWEEP_AXES,
+    "normalize": ("clamp", "minmax"),
+    "calibration": ("auto", "general", "t1", "manual"),
+}
 LONG_HEADER = (
     "axis",
     "value",
@@ -64,7 +73,10 @@ SUMMARY_HEADER = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep configuration; defaults follow the reference operating point."""
+    """Sweep configuration; defaults follow the reference operating point.
+
+    Sweep values are stored as the axis field's type, so every point is
+    an exact, valid setting of that field."""
 
     d: int = 100
     k: int = 3
@@ -78,25 +90,38 @@ class ExperimentConfig:
     seed: int = 0
     dataset: str | None = None
     drop_label: bool = False
-    normalize: str = "clamp"  # clamp | minmax
-    calibration: str = "auto"  # auto | general | t1 | manual
+    normalize: str = "clamp"
+    calibration: str = "auto"
     gamma: float | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.axis is not None:
-            if self.axis not in SWEEP_AXES:
-                raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-            if len(self.values) == 0:
-                raise ValueError("a sweep axis needs a non-empty value list")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed and not (name == "axis" and value is None):
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        if self.axis is None:
+            if len(self.values):
+                raise ValueError("sweep values need a sweep axis")
+        elif len(self.values) == 0:
+            raise ValueError("a sweep axis needs a non-empty value list")
+        else:
+            kind = SETTING_TYPES[self.axis]
+            if kind is int:
+                for value in self.values:
+                    _check_integer(f"{self.axis} sweep value", value)
+            object.__setattr__(self, "values", tuple(map(kind, self.values)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.normalize not in ("clamp", "minmax"):
-            raise ValueError(f"normalize must be clamp or minmax, got {self.normalize!r}")
-        if self.calibration not in ("auto", "general", "t1", "manual"):
-            raise ValueError(f"unknown calibration mode {self.calibration!r}")
         if self.calibration == "manual" and self.gamma is None:
             raise ValueError("manual calibration requires an explicit gamma")
+
+
+# Each setting's scalar type: int, float, str, bool, or tuple for values.
+SETTING_TYPES = {
+    name: next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
 
 
 @dataclass(frozen=True)
@@ -226,9 +251,7 @@ def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialR
 def _point_config(config: ExperimentConfig, value):
     if config.axis is None or value is None:
         return config
-    if config.axis == "eps":
-        return replace(config, eps=float(value))
-    return replace(config, **{config.axis: int(value)})
+    return replace(config, **{config.axis: value})
 
 
 def resolve_point(config: ExperimentConfig, value=None):
@@ -290,22 +313,29 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValueError(f"matrix must be 2-D with rows and columns, got shape {matrix.shape}")
     # 1/n is smallest at the largest n the sweep runs
-    n_max = max(map(int, config.values)) if config.axis == "n" else config.n
+    n_max = max(config.values) if config.axis == "n" else config.n
     if config.delta >= 1.0 / n_max:
         warnings.warn(
             f"delta = {config.delta:g} is large relative to 1/n = {1.0 / n_max:g}",
             stacklevel=2,
         )
     points = list(config.values) if config.axis is not None else [None]
+    # Calibrate every point before the first trial: an invalid value then
+    # fails the sweep before any work, and an infeasible one is skipped.
+    resolved = []
+    for value in points:
+        try:
+            resolved.append(resolve_point(config, value))
+        except InfeasibleParametersError as exc:
+            resolved.append(exc)
     result = SweepResult(config=config)
     fit_x, fit_y = [], []
-    for pi, value in enumerate(points):
+    for pi, (value, point) in enumerate(zip(points, resolved)):
         label = {"axis": config.axis or "none", "value": "" if value is None else value}
-        try:
-            params, budget, mode = resolve_point(config, value)
-        except InfeasibleParametersError as exc:
-            result.summary.append(_summary_row(label, "skipped", trials=0, reason=str(exc)))
+        if isinstance(point, InfeasibleParametersError):
+            result.summary.append(_summary_row(label, "skipped", trials=0, reason=str(point)))
             continue
+        params, budget, mode = point
         bound = _point_bound(params, budget, mode)
         table = fit_matrix(matrix, min(len(matrix), params.n), params.d)
         mses = []

@@ -6,6 +6,7 @@ single PASS/FAIL line through the terminal reporter.
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,7 +286,5 @@ def test_criterion_11_deterministic_replay(request, dataset, tmp_path):
     )
     first = emit_outputs(quiet_sweep(cfg, dataset), tmp_path / "a")
     second = emit_outputs(quiet_sweep(cfg, dataset), tmp_path / "b")
-    same = (
-        open(first["long"], "rb").read() == open(second["long"], "rb").read()
-    )
+    same = Path(first["long"]).read_bytes() == Path(second["long"]).read_bytes()
     check(request, 11, "re-run with the same master seed is byte-identical", same)

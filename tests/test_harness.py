@@ -4,7 +4,7 @@ import csv
 import importlib
 import importlib.util
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from shufflesum import (
     shuffle,
     trial_seed,
 )
+from shufflesum import cli, harness
 from shufflesum.cli import main
 from shufflesum.harness import LONG_HEADER
 
@@ -126,6 +127,17 @@ class TestExperimentConfig:
             ExperimentConfig(normalize="zscore")
         with pytest.raises(ValueError):
             ExperimentConfig(calibration="manual")  # needs gamma
+        # t, k, d and n sweep values follow ProtocolParams' integer rule
+        for axis, value in (("d", 50.7), ("k", 2.9), ("t", True), ("n", "5000")):
+            with pytest.raises(ValueError, match=re.escape(repr(value))):
+                ExperimentConfig(axis=axis, values=(value,))
+        with pytest.raises(ValueError, match="axis"):
+            ExperimentConfig(values=(50,))  # values without an axis
+
+    def test_sweep_values_take_the_axis_type(self):
+        (d,) = ExperimentConfig(axis="d", values=(np.int64(50),)).values
+        (eps,) = ExperimentConfig(axis="eps", values=(np.float64(0.5),)).values
+        assert (type(d), d) == (int, 50) and (type(eps), eps) == (float, 0.5)
 
 
 class TestResolvePoint:
@@ -320,6 +332,21 @@ class TestRunSweep:
             assert s["trials"] == 2
         assert {r["axis"] for r in result.rows} == {"n"}
 
+    def test_invalid_point_fails_before_any_trial(self, small_matrix, monkeypatch):
+        # t = 9 > d = 5 is invalid; the t = 1 and t = 2 points must not run
+        calls = []
+        real = harness.run_trial
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_trial", counted)
+        cfg = _small_sweep_config(axis="t", values=(1, 2, 9), n=20000, eps=0.9)
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="t must be in"):
+            run_sweep(cfg, matrix=small_matrix)
+        assert len(calls) == 0
+
     def test_rows_replayable_from_stored_seed(self, small_matrix):
         cfg = _small_sweep_config(values=(0.6, 0.9), trials=2)
         with pytest.warns(UserWarning):
@@ -352,12 +379,9 @@ class TestEmitOutputs:
         with pytest.warns(UserWarning):
             result2 = run_sweep(cfg, matrix=small_matrix)
         paths2 = emit_outputs(result2, tmp_path / "out2")
+        assert Path(paths["long"]).read_bytes() == Path(paths2["long"]).read_bytes()
         assert (
-            open(paths["long"], "rb").read() == open(paths2["long"], "rb").read()
-        )
-        assert (
-            open(paths["summary"], "rb").read()
-            == open(paths2["summary"], "rb").read()
+            Path(paths["summary"]).read_bytes() == Path(paths2["summary"]).read_bytes()
         )
 
     def test_plot_file_only_for_fitted_axes(self, small_matrix, tmp_path):
@@ -373,6 +397,42 @@ class TestEmitOutputs:
 
         with pytest.raises(ValueError):
             emit_outputs(SweepResult(config=ExperimentConfig()), tmp_path)
+
+
+# One sample per ExperimentConfig field: its flag/config-file text and the
+# value the built config must hold.
+_SETTINGS = {
+    "d": ("60", 60),
+    "k": ("4", 4),
+    "n": ("1234", 1234),
+    "t": ("2", 2),
+    "eps": ("0.7", 0.7),
+    "delta": ("0.01", 0.01),
+    "axis": ("n", "n"),
+    "values": ("5000,6000", (5000, 6000)),
+    "trials": ("7", 7),
+    "seed": ("9", 9),
+    "dataset": ("data.csv", "data.csv"),
+    "drop_label": ("yes", True),
+    "normalize": ("minmax", "minmax"),
+    "calibration": ("general", "general"),
+    "gamma": ("0.3", 0.3),
+    "out_dir": ("out", "out"),
+}
+
+
+class _Built(Exception):
+    """Carries the config that main handed to run_sweep."""
+
+
+def _built_config(monkeypatch, argv):
+    def capture(config):
+        raise _Built(config)
+
+    monkeypatch.setattr(cli, "run_sweep", capture)
+    with pytest.raises(_Built) as caught:
+        main(argv)
+    return caught.value.args[0]
 
 
 class TestCli:
@@ -441,21 +501,71 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mse=" in out
 
-    @pytest.mark.parametrize("command", ["run", "params"])
-    def test_config_file_sweep_keys_need_sweep(self, signal_csv, tmp_path, command, capsys):
-        # without the check, run would quietly run one point and exit 0
+    @pytest.mark.parametrize(
+        "command, sweep_flags",
+        [
+            ("run", []),
+            ("params", []),
+            ("run", ["--axis", "d", "--values", "50"]),
+            ("params", ["--axis", "d", "--values", "50"]),
+        ],
+        ids=["run", "params", "run-flags", "params-flags"],
+    )
+    def test_config_file_sweep_keys_need_sweep(
+        self, signal_csv, tmp_path, command, sweep_flags, capsys
+    ):
+        # without the check, run would quietly run one point and exit 0;
+        # the sweep keys come from the file, or else from the flags
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "d=5\nk=2\nn=5000\neps=0.6\ndelta=0.0001\ntrials=1\n"
-            f"dataset={signal_csv}\ndrop_label=true\naxis=d\nvalues=50,100,200\n"
+            f"dataset={signal_csv}\ndrop_label=true\n"
+            + ("" if sweep_flags else "axis=d\nvalues=50,100,200\n")
         )
-        assert main([command, "--config", str(cfg)]) == 1
+        assert main([command, "--config", str(cfg), *sweep_flags]) == 1
         assert "sweep" in capsys.readouterr().err
 
     def test_bad_config_file_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate=3\n")
         assert main(["run", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "line", ["drop_label=ture", "d=5.0", "eps=high", "normalize=zscore", "axis=q"]
+    )
+    def test_bad_config_file_value(self, tmp_path, line, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# one bad line\n{line}\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and line.partition("=")[0] in err
+
+    @pytest.mark.parametrize("text", ["1", "TRUE", "Yes", "0", "false", "NO"])
+    def test_config_file_booleans(self, tmp_path, monkeypatch, text):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"drop_label={text}\n")
+        config = _built_config(monkeypatch, ["run", "--config", str(cfg)])
+        assert config.drop_label is (text.lower() in ("1", "true", "yes"))
+
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path, monkeypatch, name, form):
+        # a field without a sample here fails with KeyError: add one
+        sweep = name in ("axis", "values")
+        names = ("axis", "values") if sweep else (name,)
+        argv = ["sweep" if sweep else "run"]
+        if form == "file":
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text("".join(f"{n}={_SETTINGS[n][0]}\n" for n in names))
+            argv += ["--config", str(cfg)]
+        else:
+            for n in names:
+                flag = "--" + n.replace("_", "-")
+                argv += [flag] if n == "drop_label" else [flag, _SETTINGS[n][0]]
+        config = _built_config(monkeypatch, argv)
+        want = _SETTINGS[name][1]
+        assert getattr(config, name) == want
+        assert type(getattr(config, name)) is type(want)
 
     def test_audit_pass_and_fail(self):
         passing = main(
