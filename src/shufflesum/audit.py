@@ -3,8 +3,11 @@
 Two routes are provided:
 
 * exact evaluation of the blanket-count tail events that the privacy
-  calibration's Chernoff step upper-bounds (binomial tail sums), plus the
-  closed-form Chernoff expressions themselves, and
+  calibration's Chernoff step upper-bounds, plus the closed-form Chernoff
+  expressions themselves.  The binomial tails are summed in pure Python
+  with the pmf-ratio recurrence out from the mode, so a tail far below
+  1e-16 keeps its relative accuracy without a special-function library,
+  and
 * an exact audit of the full t = 1 mechanism on tiny instances: the
   shuffled output is a histogram over the d (k+1) (coordinate, value)
   cells, its distribution is the convolution of the n users' categorical
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .calibration import PrivacyBudget, ProtocolParams, compose_epsilon_prime
 from .exceptions import InfeasibleParametersError
@@ -82,15 +84,57 @@ def tail_params_from_protocol(
     )
 
 
+def _binomial_tail(s: int, p: float, cut: int, upper: bool) -> float:
+    """Pr[X >= cut] if upper else Pr[X <= cut], for X ~ Bin(s, p), 0 < p <= 1.
+
+    The pmf is walked outwards from the mode m = floor((s+1) p) with
+    pmf(i+1) / pmf(i) = (s-i) p / ((i+1)(1-p)); each walk stops once its
+    terms fall below 1e-17 of its running sum.  pmf(m) is 1 over the
+    walked sum of pmf(i) / pmf(m).  A tail on the far side of m starts
+    from pmf(cut), whose log is log pmf(m) plus the math.fsum of the log
+    ratios from m, so a tail of 1e-100 is as accurate as one of 0.1; the
+    tail that holds m is 1 minus the far tail beyond it.
+    """
+    if p == 1.0:
+        return float(s >= cut if upper else s <= cut)
+    m = min(int((s + 1) * p), s)
+    if cut <= m if upper else cut >= m:
+        return 1.0 - _binomial_tail(s, p, cut - 1 if upper else cut + 1, not upper)
+    if not 0 <= cut <= s:
+        return 0.0
+    q = p / (1.0 - p)
+
+    def ratio(i, up):  # pmf(i + 1) / pmf(i) if up else pmf(i - 1) / pmf(i)
+        return (s - i) * q / (i + 1) if up else i / ((s - i + 1) * q)
+
+    def walk(i, up):  # sum of pmf(j) / pmf(i) for j from i outwards
+        end, step = (s, 1) if up else (0, -1)
+        total = term = 1.0
+        while i != end and term >= 1e-17 * total:
+            term *= ratio(i, up)
+            total += term
+            i += step
+        return total
+
+    logs, rough = [], 0.0
+    for i in range(m, cut, 1 if upper else -1):
+        logs.append(math.log(ratio(i, upper)))
+        rough += logs[-1]
+        if rough < -750.0:  # exp(log pmf(cut)) is 0.0 in float64
+            return 0.0
+    log_norm = math.log(walk(m, True) + walk(m, False) - 1.0)
+    return math.exp(math.fsum(logs) - log_norm) * walk(cut, upper)
+
+
 def exact_tail_probability(tp: TailParams, gamma: float, k: int) -> float:
     """Exact union probability of the two blanket-count tail events:
 
         Pr[N_hi >= c e^(eps'/2)] + Pr[N_lo <= c e^(-eps'/2)]
 
     with N_lo ~ Bin(s, gamma/k) and N_hi = N_lo-distributed + 1, computed
-    from binomial tail sums (scipy evaluates these in a numerically stable
-    way for s well beyond 1e4).  A degenerate blanket (c = 0) makes the
-    lower event certain, so the result is 1.
+    from two binomial tail sums (`_binomial_tail`: within ~1e-12 relative
+    for s up to 1e6 and tails down to 1e-100).  A degenerate blanket
+    (c = 0) makes the lower event certain, so the result is 1.
     """
     if tp.s < 0:
         raise ValueError(f"s must be >= 0, got {tp.s}")
@@ -101,9 +145,9 @@ def exact_tail_probability(tp: TailParams, gamma: float, k: int) -> float:
         return 1.0
     hi = tp.c * math.exp(tp.eps_prime / 2.0)
     lo = tp.c * math.exp(-tp.eps_prime / 2.0)
-    # Pr[Bin + 1 >= hi] = Pr[Bin >= hi - 1]; Pr[Bin >= a] = sf(ceil(a) - 1)
-    upper = float(binom.sf(math.ceil(hi - 1.0) - 1, tp.s, p))
-    lower = float(binom.cdf(math.floor(lo), tp.s, p))
+    # Pr[Bin + 1 >= hi] = Pr[Bin >= ceil(hi - 1)]
+    upper = _binomial_tail(tp.s, p, math.ceil(hi - 1.0), upper=True)
+    lower = _binomial_tail(tp.s, p, math.floor(lo), upper=False)
     return min(1.0, upper + lower)
 
 

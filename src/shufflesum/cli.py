@@ -60,7 +60,8 @@ _PARSE = {int: int, float: float, bool: _parse_bool}
 
 
 def _read_config_file(path):
-    out = {}
+    """The file's settings, and the line each one was read from."""
+    out, lines = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -78,25 +79,38 @@ def _read_config_file(path):
                     raise ValueError(f"{text!r} is not one of {CHOICES[key]}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-            out[key] = value
-    return out
+            out[key], lines[key] = value, lineno
+    return out, lines
 
 
 def _build_config(args) -> ExperimentConfig:
-    settings = _read_config_file(args.config) if args.config else {}
+    settings, lines = _read_config_file(args.config) if args.config else ({}, {})
     for key in SETTING_TYPES:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
+            lines.pop(key, None)
     if args.command != "sweep":
         if "axis" in settings or "values" in settings:
             raise ValueError("axis and values apply only to the sweep subcommand")
     elif "axis" not in settings or "values" not in settings:
         raise ValueError("sweep requires --axis and --values")
     else:
-        kind = SETTING_TYPES[settings["axis"]]
+        axis = settings["axis"]
+        kind = SETTING_TYPES[axis]
+        where = f"{args.config}:{lines['values']}: " if "values" in lines else ""
+
+        def typed(text):
+            try:
+                return kind(text)
+            except ValueError:
+                raise ValueError(
+                    f"{where}bad value for values: {text.strip()!r} is not "
+                    f"a valid {kind.__name__} for axis {axis}"
+                ) from None
+
         settings["values"] = tuple(
-            kind(p) for p in settings["values"].split(",") if p.strip()
+            typed(p) for p in settings["values"].split(",") if p.strip()
         )
     return ExperimentConfig(**settings)
 
@@ -171,7 +185,7 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _build_parser():
     parser = _Parser(prog="shufflesum", description=__doc__)
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key=value config file; flags override it")
@@ -181,9 +195,17 @@ def main(argv=None) -> int:
             parser.add_argument(flag, action="store_true", default=None)
         else:
             parser.add_argument(flag, type=_PARSE.get(kind, str), choices=CHOICES.get(name))
+    return parser
 
+
+# Built once, at import: building it loads argparse's gettext machinery,
+# which main should not pay for on every call.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return COMMANDS[args.command](_build_config(args))
     except SystemExit as exc:
         return int(exc.code or 0)

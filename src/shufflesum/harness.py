@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily; every run seeds its trials with it
 
 from .accuracy import (
     TrialResult,
@@ -149,6 +150,8 @@ def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> Data
     [0, 1]; "minmax" rescales by the global min/max.  Unparseable and
     non-finite (nan, inf) cells are reported with their row/column position.
     """
+    if normalize not in CHOICES["normalize"]:
+        raise ValueError(f"normalize must be one of {CHOICES['normalize']}, got {normalize!r}")
     rows, line_numbers = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -189,13 +192,11 @@ def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> Data
             raise ValueError(f"{path}: constant data, min-max normalization undefined")
         matrix = (matrix - lo) / (hi - lo)
         steps.append(f"min-max normalized from [{lo:g}, {hi:g}]")
-    elif normalize == "clamp":
+    else:
         clipped = int(np.sum((matrix < 0) | (matrix > 1)))
         matrix = np.clip(matrix, 0.0, 1.0)
         if clipped:
             steps.append(f"clamped {clipped} entries into [0, 1]")
-    else:
-        raise ValueError(f"normalize must be clamp or minmax, got {normalize!r}")
     return DatasetMatrix(values=matrix, provenance="; ".join(steps))
 
 

@@ -24,6 +24,7 @@ from shufflesum import (
     randomize_batch,
     tail_params_from_protocol,
 )
+from shufflesum.audit import _binomial_tail
 
 mpmath.mp.dps = 50
 
@@ -47,6 +48,35 @@ def oracle_tail(s, gamma, k, eps_prime, c=None):
     # Pr[Bin + 1 >= hi] + Pr[Bin <= lo]
     upper = 1 - binom_cdf(math.ceil(hi - 1.0) - 1, s, p)
     lower = binom_cdf(math.floor(lo), s, p)
+    return float(min(mpmath.mpf(1), upper + lower))
+
+
+def binom_tail_pmf_sum(s, p, cut, upper):
+    """Independent oracle for Pr[X >= cut] (upper) or Pr[X <= cut], X ~
+    Bin(s, p): a 50-digit sum of directly evaluated pmf terms from the cut
+    outwards, until the terms past the mean fall below 1e-40 of the sum.
+    Unlike binom_cdf it converges at s = 1e6 and for tails near 1e-100.
+    p enters as its exact binary value, as the float code sees it."""
+    if (cut > s) if upper else (cut < 0):
+        return mpmath.mpf(0)
+    p = mpmath.mpf(p)
+    step, end = (1, s) if upper else (-1, 0)
+    j = max(cut, 0) if upper else min(cut, s)
+    total = mpmath.mpf(0)
+    while True:
+        term = mpmath.binomial(s, j) * p**j * (1 - p) ** (s - j)
+        total += term
+        if j == end or ((j - s * p) * step > 0 and term < total * mpmath.mpf(10) ** -40):
+            return total
+        j += step
+
+
+def pmf_sum_tail(s, gamma, k, c, eps_prime):
+    """exact_tail_probability's union of events, from binom_tail_pmf_sum."""
+    hi = c * math.exp(eps_prime / 2)
+    lo = c * math.exp(-eps_prime / 2)
+    upper = binom_tail_pmf_sum(s, gamma / k, math.ceil(hi - 1.0), upper=True)
+    lower = binom_tail_pmf_sum(s, gamma / k, math.floor(lo), upper=False)
     return float(min(mpmath.mpf(1), upper + lower))
 
 
@@ -90,6 +120,32 @@ class TestExactTailProbability:
         brute = total / p_den**s
         assert got == pytest.approx(brute, rel=1e-10)
         assert hi_cut > lo_cut  # the two events are disjoint here
+
+    @pytest.mark.parametrize(
+        "s, gamma, k, c, eps_prime",
+        [
+            (200_000, 0.02, 1, 4000.0, 0.5),  # both events far out: 3.8e-49
+            (200_000, 0.02, 1, 4000.0, 0.75),  # 1.3e-99
+            (1_000_000, 0.02, 1, 20000.0, 0.32),  # 2.0e-104
+            (1_000_000, 0.1705, 3, 0.1705 * 1_000_000 / 3, 0.12),  # 1.7e-47
+            (200_000, 0.02, 1, 3900.0, 0.02),  # the upper event holds the mode
+            (100, 1.0, 1, 99.0, 0.02),  # p = 1: N_lo = s, the upper event is certain
+            (100, 1.0, 1, 100.0, 0.5),  # p = 1: neither event can happen
+            (50, 0.5, 1, 80.0, 0.5),  # both cuts above s
+        ],
+    )
+    def test_large_s_and_deep_tails_against_pmf_sum(self, s, gamma, k, c, eps_prime):
+        tp = TailParams(s=s, c=c, eps_prime=eps_prime, t=1, delta=0.1)
+        got = exact_tail_probability(tp, gamma, k)
+        want = pmf_sum_tail(s, gamma, k, c, eps_prime)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("upper", [True, False])
+    @pytest.mark.parametrize("cut", [-3, 0, 1, 29, 30, 33])
+    def test_tail_at_and_beyond_the_ends_of_the_support(self, cut, upper):
+        got = _binomial_tail(30, 0.4, cut, upper)
+        want = float(binom_tail_pmf_sum(30, 0.4, cut, upper))
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_monte_carlo_agreement(self):
         s, gamma, k, eps_prime = 100, 0.5, 2, 0.5

@@ -3,7 +3,12 @@
 import csv
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -92,6 +97,14 @@ class TestIngestCsv:
         p.write_text("5,5\n5,5\n")
         with pytest.raises(ValueError):
             ingest_csv(p, normalize="minmax")
+
+    def test_unknown_normalize_rejected_before_reading(self, tmp_path):
+        # checked against harness.CHOICES before the file is opened
+        (tmp_path / "tiny.csv").write_text("0.2,0.8\n")
+        for p in (tmp_path / "tiny.csv", tmp_path / "missing.csv"):
+            with pytest.raises(ValueError) as caught:
+                ingest_csv(p, normalize="zscore")
+            assert all(repr(c) in str(caught.value) for c in harness.CHOICES["normalize"])
 
 
 class TestFitMatrix:
@@ -245,6 +258,44 @@ def test_benchmark_traced_bindings_exist():
         if not callable(getattr(importlib.import_module(module), attr, None))
     }
     assert spans.TARGETS and missing == RETIRED_BINDINGS
+
+
+def test_cli_import_loads_no_scipy_and_all_that_main_needs(tmp_path):
+    # perfbench/child.py times `import shufflesum.cli` as set-up and one
+    # `main` call as the run: a module first loaded inside main would move
+    # set-up cost into the run's wall time.  A fresh interpreter, so that
+    # what this test session has loaded does not count.
+    audit_tiny = [
+        "audit", "--n", "10", "--d", "1", "--k", "1", "--t", "1", "--eps", "0.99",
+        "--delta", "0.9", "--calibration", "general", "--trials", "1000000", "--seed", "0",
+    ]
+    data = tmp_path / "tiny.csv"
+    data.write_text("0.1,0.9\n0.5,0.3\n0.7,0.2\n")
+    run = [
+        "run", "--n", "10000", "--d", "2", "--k", "1", "--eps", "1", "--delta", "1e-5",
+        "--trials", "1", "--dataset", str(data),
+    ]
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import shufflesum.cli
+        loaded = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in json.loads(sys.argv[1]):
+                assert shufflesum.cli.main(argv) == 0
+        print(json.dumps({
+            "scipy": sorted(m for m in loaded if m.split(".")[0] == "scipy"),
+            "new": sorted(set(sys.modules) - loaded),
+        }))
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([["params"], audit_tiny, run])],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == {"scipy": [], "new": []}
 
 
 def _small_sweep_config(tmp_path=None, **over):
@@ -539,6 +590,18 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"{cfg}:2" in err and line.partition("=")[0] in err
+
+    def test_bad_sweep_value_flag_names_values_axis_and_type(self, capsys):
+        assert main(["sweep", "--axis", "d", "--values", "50,50.7"]) == 1
+        err = capsys.readouterr().err
+        assert "bad value for values: '50.7' is not a valid int for axis d" in err
+
+    def test_bad_sweep_value_in_config_file_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("axis=eps\nvalues=0.5,high\n")
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: bad value for values: 'high' is not a valid float for axis eps" in err
 
     @pytest.mark.parametrize("text", ["1", "TRUE", "Yes", "0", "false", "NO"])
     def test_config_file_booleans(self, tmp_path, monkeypatch, text):
