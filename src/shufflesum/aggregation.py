@@ -3,9 +3,9 @@
 Submissions travel as a pair of integer (m, t) arrays (coordinates and
 values, one row per user).  The shuffler is an in-process uniform
 permutation of the rows: it only unbinds users from their submissions.
-The analyzer validates the arrays (`aggregate_arrays` is the one
-validator), buckets received values by coordinate, rescales by 1/k, and
-removes the expected blanket contribution (debiasing).
+The analyzer validates the arrays (`_tally`, under `aggregate_arrays`, is
+the one validator), buckets received values by coordinate, rescales by
+1/k, and removes the expected blanket contribution (debiasing).
 """
 
 from __future__ import annotations
@@ -49,6 +49,18 @@ def aggregate_arrays(coords, values, params: ProtocolParams):
     summed as integers before the one division by k, so the result is
     exactly invariant under any reordering of the rows.
     """
+    totals, counts = _tally(coords, values, params)
+    return totals / params.k, counts
+
+
+# Up to this t, pairwise column comparisons beat a per-row sort (per 2^15-entry
+# block at d = 100: 0.10 vs 0.16 ms at t = 8, a tie at 12, 0.18 vs 0.14 at 14).
+PAIRWISE_MAX_T = 11
+
+
+def _tally(coords, values, params: ProtocolParams):
+    """`aggregate_arrays` before the division by k: integer value totals
+    (float64, exact below 2^53, so they add up exactly across batches)."""
     coords = np.asarray(coords)
     values = np.asarray(values)
     if coords.shape != values.shape or coords.ndim != 2 or coords.shape[1] != params.t:
@@ -59,22 +71,25 @@ def aggregate_arrays(coords, values, params: ProtocolParams):
         raise MalformedMessageError(
             f"coords and values must be integers, got {coords.dtype} and {values.dtype}"
         )
-    if np.any(values < 0) or np.any(values > params.k):
+    if coords.size and (values.min() < 0 or values.max() > params.k):
         raise MalformedMessageError(f"values outside [0, {params.k}]")
-    if np.any(coords < 0) or np.any(coords >= params.d):
+    if coords.size and (coords.min() < 0 or coords.max() >= params.d):
         raise MalformedMessageError(f"coordinates outside [0, {params.d - 1}]")
-    if params.t > 1:
+    if params.t > PAIRWISE_MAX_T:
         ordered = np.sort(coords, axis=1)
-        if np.any(ordered[:, 1:] == ordered[:, :-1]):
-            raise MalformedMessageError("message coordinates must be distinct")
+        repeated = np.any(ordered[:, 1:] == ordered[:, :-1])
+    else:  # a (t, m) copy, so each comparison reads contiguous rows
+        cols = np.ascontiguousarray(coords.T)
+        repeated = any(np.any(cols[:i] == cols[i]) for i in range(1, params.t))
+    if repeated:
+        raise MalformedMessageError("message coordinates must be distinct")
     flat_c = coords.ravel()
-    sums = np.bincount(flat_c, weights=values.ravel(), minlength=params.d) / params.k
-    counts = np.bincount(flat_c, minlength=params.d)
-    return sums, counts
+    totals = np.bincount(flat_c, weights=values.ravel(), minlength=params.d)
+    return totals, np.bincount(flat_c, minlength=params.d)
 
 
-def analyze_arrays(coords, values, params: ProtocolParams) -> EstimateVector:
-    """Full analyzer: aggregate the batch, then remove the expected blanket
+def _debias(totals, counts, params: ProtocolParams) -> EstimateVector:
+    """Rescale `_tally`'s totals by 1/k, then remove the expected blanket
     contribution and the 1 - gamma attenuation per coordinate:
 
         (sum - (gamma/2) count) / (1 - gamma)
@@ -83,15 +98,19 @@ def analyze_arrays(coords, values, params: ProtocolParams) -> EstimateVector:
     rescaling each blanket submission contributes exactly 1/2 in
     expectation.  gamma = 1 leaves no signal: InfeasibleParametersError.
     """
-    sums, counts = aggregate_arrays(coords, values, params)
     gamma = params.gamma
     if not (0.0 <= gamma < 1.0):
         raise InfeasibleParametersError(
             f"debias requires gamma in [0, 1), got {gamma}"
         )
     return EstimateVector(
-        values=(sums - (gamma / 2.0) * counts) / (1.0 - gamma), counts=counts
+        values=(totals / params.k - (gamma / 2.0) * counts) / (1.0 - gamma), counts=counts
     )
+
+
+def analyze_arrays(coords, values, params: ProtocolParams) -> EstimateVector:
+    """Full analyzer: `aggregate_arrays`, then `_debias`."""
+    return _debias(*_tally(coords, values, params), params)
 
 
 def estimate_average(est: EstimateVector, params: ProtocolParams) -> np.ndarray:

@@ -27,7 +27,7 @@ from .accuracy import (
     empirical_mse,
     fit_power_law,
 )
-from .aggregation import analyze_arrays
+from .aggregation import _debias, _tally
 from .calibration import (
     PrivacyBudget,
     ProtocolParams,
@@ -227,26 +227,28 @@ def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialR
     against the sampled-coordinate true sums.
 
     `table` is (rows, d) with 1 <= rows <= n, and user i holds row
-    i % rows, so an (n, d) matrix gives each user its own row.  No n x d
-    matrix is built: the (n, t) sampled entries are gathered once, and
-    both the randomizer and the true sums read them.
+    i % rows, so an (n, d) matrix gives each user its own row.  Blocks of
+    users (`randomizer._randomize_rows`) add up their true sums and exact
+    integer totals and counts, so memory is O(block + rows + d) whatever n
+    is, and the estimates equal the analyzer's on the whole batch.
 
     The shuffler's permutation is skipped, since it cannot change the
     result: the analyzer sums integer values in float64, which is exact
     while every sum stays below 2^53 (n k < 2^53 suffices), so its output
-    is bitwise the same for every row order.  The permutation was the
-    trial's last draw, so every other draw is unchanged.
+    is bitwise the same for every row order.
     """
-    table = np.asarray(table, dtype=float)
+    table = np.ascontiguousarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != params.d or not 0 < len(table) <= params.n:
         raise ValueError(
             f"table shape {table.shape} must be (rows, d={params.d}) "
             f"with 1 <= rows <= n={params.n}"
         )
-    coords, sampled, values = _randomize_rows(table, params, rng)
-    truth = np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
-    est = analyze_arrays(coords, values, params)
-    return empirical_mse(est, truth, params)
+    truth = totals = counts = 0
+    for coords, sampled, values in _randomize_rows(table, params, rng):
+        truth = truth + np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
+        block_totals, block_counts = _tally(coords, values, params)
+        totals, counts = totals + block_totals, counts + block_counts
+    return empirical_mse(_debias(totals, counts, params), truth, params)
 
 
 def _point_config(config: ExperimentConfig, value):
@@ -302,8 +304,8 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     already-normalized raw matrix (rows x features, entries in [0, 1]).
 
     Per point only the column-fitted table of min(rows, n) rows is built
-    (`fit_matrix`), and `run_trial` gives user i row i % rows, so memory
-    per point is O(rows d + n t), not O(n d)."""
+    (`fit_matrix`), and `run_trial` gives user i row i % rows, in blocks:
+    memory is O(rows d) per point and O(block + rows + d) per trial."""
     if matrix is None:
         if config.dataset is None:
             raise ValueError("no dataset: pass a matrix or set config.dataset")

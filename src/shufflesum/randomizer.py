@@ -13,36 +13,54 @@ import numpy as np
 
 from .calibration import ProtocolParams
 
+BLOCK_ENTRIES = 2**15  # entries (users x t) per block of `_randomize_rows`
 
-def respond(sampled, k: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
-    """The mechanism kernel: encode each input in [0, 1] onto {0, ..., k},
-    then apply randomized response with a uniform blanket.
 
-    An input x becomes floor(x k) + Ber(x k - floor(x k)), so E = x k; with
-    probability gamma that is replaced by a uniform draw from {0, ..., k},
-    so Pr[output = encoded] = 1 - gamma + gamma / (k + 1).  Draws, each of
-    sampled's shape: rng.random (encoding), rng.random (blanket),
-    rng.integers(0, k + 1).  Returns int64 of sampled's shape; an input
-    outside [0, 1] or NaN raises ValueError.
+def respond(sampled, k: int, gamma: float, rng: np.random.Generator, work=None) -> np.ndarray:
+    """The mechanism kernel: encode each input x in [0, 1] as floor(x k) +
+    Ber(f), f = x k - floor(x k), so E = x k; with probability gamma the
+    output is instead uniform on {0, ..., k}.  One draw per entry, u =
+    rng.random: u < gamma gives floor(u (k + 1) / gamma), clipped to k
+    (rounding can reach k + 1 just below gamma); otherwise the output is
+    floor(x k) + [u < gamma + f (1 - gamma)].  The blanket value is uniform
+    up to the 2^-53 grid of rng.random, as the two decisions are.  Works in
+    `work`, float64 (3, *sampled.shape) (allocated if None), and returns
+    int64 of sampled's shape, a view of work[1].  An input outside [0, 1]
+    or NaN raises ValueError.
     """
     sampled = np.asarray(sampled, dtype=float)
     if sampled.size and not (sampled.min() >= 0.0 and sampled.max() <= 1.0):
         raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
-    scaled = sampled * k
-    base = np.floor(scaled)
-    encoded = base + (rng.random(scaled.shape) < (scaled - base))
-    blanket = rng.random(scaled.shape) < gamma
-    uniform = rng.integers(0, k + 1, size=scaled.shape)
-    return np.where(blanket, uniform, encoded).astype(np.int64)
+    if work is None:
+        work = np.empty((3,) + sampled.shape)
+    u, frac, out = work[0, ...], work[1, ...], work[2, ...]
+    rng.random(out=u)
+    np.floor(np.multiply(sampled, k, out=frac), out=out)
+    frac -= out
+    frac *= 1.0 - gamma
+    frac += gamma
+    out += u < frac
+    if gamma > 0.0:  # out += [u < gamma] (blanket - out), faster than a masked select
+        np.minimum(np.floor(np.multiply(u, (k + 1) / gamma, out=frac), out=frac), k, out=frac)
+        frac -= out  # finite: the clipped value is k where u >= gamma
+        frac *= u < gamma
+        out += frac
+    result = work[1, ...].view(np.int64)
+    np.copyto(result, out, casting="unsafe")  # whole numbers, so exact
+    return result
 
 
-def _floyd_sample(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndarray:
+def _sample_subsets(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndarray:
     """(n, t) int64 array whose rows are uniform t-subsets of {0, ..., d-1}.
 
-    Floyd's algorithm, one column per step: draw c from {0, ..., j} with
-    j = d - t + i; a row that already holds c takes j instead.  Built as
-    (t, n) so each step compares contiguous rows, then transposed.
+    For t < d / 2, Floyd's algorithm (Bentley & Floyd, CACM 1987) in
+    O(n t^2) time, one column per step: draw c from {0, ..., j} with
+    j = d - t + i; a row that already holds c takes j instead (so column i
+    holds d - t + i most often).  Otherwise (t > 1), the t smallest of d
+    uniform keys per row, faster there: O(n d) time, n d <= 2 n t keys.
     """
+    if 1 < t and d <= 2 * t:
+        return np.ascontiguousarray(np.argpartition(rng.random((n, d)), t - 1, axis=1)[:, :t])
     cols = np.empty((t, n), dtype=np.int64)
     for i in range(t):
         j = d - t + i
@@ -50,7 +68,7 @@ def _floyd_sample(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndarra
         if i:
             c[(cols[:i] == c).any(axis=0)] = j
         cols[i] = c
-    return cols.T.copy()
+    return np.ascontiguousarray(cols.T)
 
 
 def randomize_vector(x, params: ProtocolParams, rng: np.random.Generator):
@@ -62,41 +80,48 @@ def randomize_vector(x, params: ProtocolParams, rng: np.random.Generator):
         raise ValueError(f"expected a vector of length {params.d}, got shape {x.shape}")
     if not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError("vector entries must lie in [0, 1]")
-    coords = _floyd_sample(rng, 1, params.d, params.t)[0]
+    coords = _sample_subsets(rng, 1, params.d, params.t)[0]
     return coords, respond(x[coords], params.k, params.gamma, rng)
 
 
 def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     """Randomize a whole (n, d) dataset, one user per row.
 
-    Returns (coords, values), both int64 of shape (n, t): per user, t
-    distinct coordinate indices and the corresponding randomized values in
-    {0, ..., k}.  Only the gathered entries are range-checked (by
-    `respond`), so the check costs O(n t), not O(n d).
-
-    Each row's coordinates are a uniform t-subset of {0, ..., d-1}, drawn
-    by Floyd's algorithm (Bentley & Floyd, CACM 1987) in O(n t) memory and
-    O(n t^2) time.  The order within a row carries no meaning: column i
-    holds d - t + i more often than any other value.  At t = 1 the draw is
-    exactly rng.integers(0, d, size=n).
+    Returns (coords, values), both int64 of shape (n, t): per user, a
+    uniform t-subset of coordinates (in no meaningful order) and the
+    randomized values at them.  Only the gathered entries are range-checked
+    (by `respond`), in O(n t).  These are `run_trial`'s blocks, joined, so
+    both make the same draws; at t = 1 the coordinates of a block of m
+    users are exactly rng.integers(0, d, size=m).
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.ascontiguousarray(matrix, dtype=float)
     n, d = matrix.shape
     if n != params.n or d != params.d:
         raise ValueError(
             f"dataset shape {matrix.shape} does not match params (n={params.n}, d={params.d})"
         )
-    coords, _, values = _randomize_rows(matrix, params, rng)
-    return coords, values
+    blocks = [(c.copy(), v.copy()) for c, _, v in _randomize_rows(matrix, params, rng)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
 def _randomize_rows(table: np.ndarray, params: ProtocolParams, rng: np.random.Generator):
     """Sample, gather and respond for params.n users, user i holding row
-    i % len(table) of a float (rows, params.d) table (shape unchecked).
-    Returns (coords, sampled, values), each (n, t): the Floyd sample, the
-    true entries gathered at it, and `respond`'s output, drawn in order."""
-    coords = _floyd_sample(rng, params.n, params.d, params.t)
-    # flat offset of row i % len(table), one gather by flat index
-    starts = np.resize(np.arange(0, table.size, params.d), params.n)
-    sampled = np.take(table, starts[:, None] + coords)
-    return coords, sampled, respond(sampled, params.k, params.gamma, rng)
+    i % rows of a C-contiguous float (rows, d) table (unchecked), in blocks
+    of max(1, BLOCK_ENTRIES // t) users.  Yields per block (coords,
+    sampled, values), each (m, t), drawn in that order: views into one
+    buffer, overwritten by the next block.  Being the largest allocation,
+    the buffer sets glibc's mmap (and so trim) threshold once it is freed,
+    so the heap keeps a trial's pages for the next one."""
+    rows, d = table.shape
+    size = min(max(1, BLOCK_ENTRIES // params.t), params.n)
+    # coords, sampled, then respond's three; its last first holds the index
+    work = np.empty((5, size, params.t))
+    ring = np.resize(np.arange(0, table.size, d), rows + size)  # row offsets, cyclic
+    for start in range(0, params.n, size):
+        m = min(size, params.n - start)
+        coords, index = work[0, :m].view(np.int64), work[4, :m].view(np.int64)
+        coords[...] = _sample_subsets(rng, m, d, params.t)
+        np.add(ring[start % rows :][:m, None], coords, out=index)
+        # in range by construction, so "clip" lets take gather unbuffered
+        sampled = np.take(table, index, out=work[1, :m], mode="clip")
+        yield coords, sampled, respond(sampled, params.k, params.gamma, rng, work[2:, :m])

@@ -120,6 +120,20 @@ class TestAggregate:
         with pytest.raises(MalformedMessageError):
             fn(coords, values, params)
 
+    @pytest.mark.parametrize("t", [2, 5, 11, 12, 14])
+    def test_duplicates_found_by_both_checks(self, t):
+        # rows are compared column by column up to PAIRWISE_MAX_T = 11 and
+        # sorted above it; a repeat in any pair of columns is rejected
+        params = ProtocolParams(d=20, k=1, n=10, t=t, gamma=0.0)
+        coords = np.tile(np.arange(t), (3, 1))
+        values = np.zeros_like(coords)
+        assert aggregate_arrays(coords, values, params)[1].sum() == 3 * t
+        for i, j in itertools.combinations(range(t), 2):
+            bad = coords.copy()
+            bad[1, j] = bad[1, i]
+            with pytest.raises(MalformedMessageError, match="must be distinct"):
+                aggregate_arrays(bad, values, params)
+
 
 class TestDebias:
     """analyze_arrays removes the blanket: (sum - (gamma/2) count) / (1 - gamma)."""

@@ -32,7 +32,7 @@ from shufflesum import (
     shuffle,
     trial_seed,
 )
-from shufflesum import cli, harness
+from shufflesum import aggregation, cli, harness, randomizer
 from shufflesum.cli import main
 from shufflesum.harness import LONG_HEADER
 
@@ -217,6 +217,65 @@ class TestRunTrial:
                 assert got.total_squared_error == want.total_squared_error
                 assert got.normalized_mse == want.normalized_mse
 
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_blocks_match_the_whole_batch(self, t, monkeypatch):
+        # 18 entries per block: n = 50 users in blocks of 18, 18, 14 at
+        # t = 1 and eight of 6 plus one of 2 at t = 3.  Summed block by
+        # block, the trial's estimates equal the analyzer's on the whole
+        # shuffled batch bit for bit; its true sums are added in another
+        # order, so the MSE matches to rounding
+        monkeypatch.setattr(randomizer, "BLOCK_ENTRIES", 18)
+        debiased = []
+
+        def spy(*args):
+            debiased.append(aggregation._debias(*args))
+            return debiased[-1]
+
+        monkeypatch.setattr(harness, "_debias", spy)
+        raw = np.random.default_rng(4).random((7, 6))
+        params = ProtocolParams(d=6, k=2, n=50, t=t, gamma=0.3)
+        dense = fit_matrix(raw, params.n, params.d)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            coords, values = randomize_batch(dense, params, rng)
+            sampled = np.take_along_axis(dense, coords, axis=1)
+            truth = np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
+            est = analyze_arrays(*shuffle(coords, values, rng), params)
+            got = run_trial(raw, params, np.random.default_rng(seed))
+            assert np.array_equal(debiased[-1].values, est.values)
+            assert np.array_equal(debiased[-1].counts, est.counts)
+            want = empirical_mse(est, truth, params).normalized_mse
+            assert got.normalized_mse == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are Linux-specific")
+    def test_trials_do_not_refault_their_memory(self):
+        # Each trial reuses the pages of the one before: after two warm-up
+        # trials, 20 trials at n = 200 000 take at most 100 minor page
+        # faults each (allocating fresh (n, t) arrays per trial took ~3.5k).
+        # A fresh interpreter, so that the test process's own heap does not count.
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from shufflesum import ProtocolParams, run_trial
+            table = np.random.default_rng(0).random((800, 100))
+            params = ProtocolParams(d=100, k=3, n=200_000, t=1, gamma=0.17)
+            for seed in range(2):
+                run_trial(table, params, np.random.default_rng(seed))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for seed in range(2, 22):
+                run_trial(table, params, np.random.default_rng(seed))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=120, check=True,
+        )
+        assert int(proc.stdout) <= 20 * 100
+
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (0, 5), (11, 5)])
     def test_rejects_bad_table(self, shape):
         # not 2-D, a column count other than d, no rows, more rows than n
@@ -234,12 +293,16 @@ class TestRunTrial:
 # metrics read 0 until the spans are updated.  The first three went with
 # the sampled audit, which the exact audit replaced; the harness no longer
 # calls randomize_batch, since run_trial samples through the randomizer's
-# shared sample-gather-respond routine.
+# shared sample-gather-respond routine; nor analyze_arrays, since run_trial
+# tallies each block of users and debiases the totals once, so the
+# aggregation.analyze_arrays metrics read 0 until a span wraps that
+# per-block call.
 RETIRED_BINDINGS = {
     "shufflesum.cli.monte_carlo_audit",
     "shufflesum.audit.monte_carlo_audit",
     "shufflesum.audit.simulate_outcome_counts",
     "shufflesum.harness.randomize_batch",
+    "shufflesum.harness.analyze_arrays",
 }
 
 

@@ -104,6 +104,60 @@ class TestRandomizedResponse:
         assert out.min() >= 0 and out.max() <= k
 
 
+class StubRng:
+    """A generator whose `random` hands out chosen uniforms, so each branch
+    of `respond`'s one-uniform law can be driven directly."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None, out=None):
+        out[...] = self.u
+        return out
+
+
+class TestOneUniformLaw:
+    """respond draws one u per entry: u < gamma gives floor(u (k+1)/gamma)
+    clipped to k, otherwise floor(xk) + [u < gamma + f (1 - gamma)]."""
+
+    @pytest.mark.parametrize("k, gamma", [(1, 0.9), (4, 0.1), (4, 0.05), (3, 0.1705)])
+    def test_just_below_gamma_gives_k_through_the_clip(self, k, gamma):
+        u = np.nextafter(gamma, 0.0)
+        x = np.array([0.0, 0.5, 1.0])
+        assert np.all(respond(x, k, gamma, StubRng(np.full(3, u))) == k)
+        if (k, gamma) != (3, 0.1705):  # these reach k + 1 before the clip
+            assert np.floor(u * ((k + 1) / gamma)) == k + 1
+
+    def test_u_equal_to_gamma_takes_the_encoding_branch(self):
+        k, gamma = 4, 0.3
+        x = np.array([0.0, 0.25, 1.0, 0.3, 0.9])  # f = 0 on the grid, > 0 off it
+        out = respond(x, k, gamma, StubRng(np.full(5, gamma)))
+        # u = gamma lies below gamma + f (1 - gamma) exactly when f > 0
+        assert out.tolist() == [0, 1, 4, 2, 4]
+
+    @pytest.mark.parametrize("x, k, gamma", [(0.3, 4, 0.2), (0.55, 3, 0.1705), (0.71, 7, 0.5)])
+    def test_threshold_between_the_two_encodings(self, x, k, gamma):
+        scaled = x * k
+        frac = scaled - np.floor(scaled)
+        threshold = frac * (1.0 - gamma) + gamma
+        us = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)]
+        out = respond(np.full(3, x), k, gamma, StubRng(us))
+        assert out.tolist() == [np.floor(scaled) + 1, np.floor(scaled), np.floor(scaled)]
+
+    def test_gamma_zero_never_reaches_the_blanket_division(self):
+        # (k + 1) / gamma would raise ZeroDivisionError at gamma = 0
+        x = np.array([0.0, 0.5, 0.5, 1.0])
+        out = respond(x, 2, 0.0, StubRng([0.0, 0.0, 0.999, np.nextafter(1.0, 0.0)]))
+        assert out.tolist() == [0, 1, 1, 2]
+
+    def test_gamma_one_always_takes_the_blanket_branch(self):
+        k = 3
+        us = np.array([0.0, 0.2, 0.26, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+        for x in (0.0, 0.4, 1.0):
+            out = respond(np.full(len(us), x), k, 1.0, StubRng(us))
+            assert out.tolist() == [0, 0, 1, 2, 3, 3]
+
+
 class TestRandomizeVector:
     def test_lossless_limit(self):
         # t=d, gamma=0, huge k: y/k reconstructs the vector to within 1/k
@@ -203,10 +257,12 @@ class TestRandomizeBatch:
         se = np.sqrt(0.2 * 0.8 / coords.size)
         assert np.all(np.abs(freq - 0.2) < 4 * se)
 
-    @pytest.mark.parametrize("d, t", [(5, 2), (6, 3)])
+    @pytest.mark.parametrize("d, t", [(5, 2), (7, 3), (6, 3), (5, 3)])
     def test_subsets_jointly_uniform(self, d, t):
         # every t-subset has probability 1/C(d, t); within-row order is
-        # not exchangeable under Floyd's algorithm, so only sets are compared
+        # not exchangeable under Floyd's algorithm, so only sets are
+        # compared.  The first two cases take Floyd's algorithm (t < d/2),
+        # the last two the random keys (t >= d/2).
         params = self._params(n=60_000, d=d, t=t, gamma=0.0)
         coords, _ = randomize_batch(
             np.full((params.n, d), 0.5), params, np.random.default_rng(12)
