@@ -229,8 +229,7 @@ def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialR
     `table` is (rows, d) with 1 <= rows <= n, and user i holds row
     i % rows, so an (n, d) matrix gives each user its own row.  Blocks of
     users (`randomizer._randomize_rows`) add up their true sums and exact
-    integer totals and counts, so memory is O(block + rows + d) whatever n
-    is, and the estimates equal the analyzer's on the whole batch.
+    integer totals and counts: memory is O(block + rows + d) at any n.
 
     The shuffler's permutation is skipped, since it cannot change the
     result: the analyzer sums integer values in float64, which is exact

@@ -17,22 +17,18 @@ BLOCK_ENTRIES = 2**15  # entries (users x t) per block of `_randomize_rows`
 
 
 def respond(sampled, k: int, gamma: float, rng: np.random.Generator, work=None) -> np.ndarray:
-    """The mechanism kernel: encode each input x in [0, 1] as floor(x k) +
-    Ber(f), f = x k - floor(x k), so E = x k; with probability gamma the
-    output is instead uniform on {0, ..., k}.  One draw per entry, u =
-    rng.random: u < gamma gives floor(u (k + 1) / gamma), clipped to k
-    (rounding can reach k + 1 just below gamma); otherwise the output is
-    floor(x k) + [u < gamma + f (1 - gamma)].  The blanket value is uniform
-    up to the 2^-53 grid of rng.random, as the two decisions are.  Works in
-    `work`, float64 (3, *sampled.shape) (allocated if None), and returns
-    int64 of sampled's shape, a view of work[1].  An input outside [0, 1]
-    or NaN raises ValueError.
-    """
+    """The mechanism kernel: encode x in [0, 1] as floor(x k) + Ber(f),
+    f = x k - floor(x k), so E = x k; with probability gamma output a
+    uniform value on {0, ..., k} instead.  One draw per entry, u =
+    rng.random: u < gamma gives floor(u (k + 1) / gamma) clipped to k, else
+    floor(x k) + [u < gamma + f (1 - gamma)]; the blanket value is uniform
+    up to the 2^-53 grid of rng.random, as both decisions are.  Works in
+    float64 `work` (3, *sampled.shape), new if None; returns int64, a view
+    of work[1].  An input outside [0, 1] or NaN raises ValueError."""
     sampled = np.asarray(sampled, dtype=float)
     if sampled.size and not (sampled.min() >= 0.0 and sampled.max() <= 1.0):
         raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
-    if work is None:
-        work = np.empty((3,) + sampled.shape)
+    work = np.empty((3,) + sampled.shape) if work is None else work
     u, frac, out = work[0, ...], work[1, ...], work[2, ...]
     rng.random(out=u)
     np.floor(np.multiply(sampled, k, out=frac), out=out)
@@ -45,22 +41,17 @@ def respond(sampled, k: int, gamma: float, rng: np.random.Generator, work=None) 
         frac -= out  # finite: the clipped value is k where u >= gamma
         frac *= u < gamma
         out += frac
-    result = work[1, ...].view(np.int64)
-    np.copyto(result, out, casting="unsafe")  # whole numbers, so exact
-    return result
+    np.copyto(frac.view(np.int64), out, casting="unsafe")  # whole numbers, so exact
+    return frac.view(np.int64)
 
 
-def _sample_subsets(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndarray:
+def _floyd_sample(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndarray:
     """(n, t) int64 array whose rows are uniform t-subsets of {0, ..., d-1}.
 
-    For t < d / 2, Floyd's algorithm (Bentley & Floyd, CACM 1987) in
-    O(n t^2) time, one column per step: draw c from {0, ..., j} with
-    j = d - t + i; a row that already holds c takes j instead (so column i
-    holds d - t + i most often).  Otherwise (t > 1), the t smallest of d
-    uniform keys per row, faster there: O(n d) time, n d <= 2 n t keys.
+    Floyd's algorithm, one column per step: draw c from {0, ..., j} with
+    j = d - t + i; a row that already holds c takes j instead.  Built as
+    (t, n) so each step compares contiguous rows, then transposed.
     """
-    if 1 < t and d <= 2 * t:
-        return np.ascontiguousarray(np.argpartition(rng.random((n, d)), t - 1, axis=1)[:, :t])
     cols = np.empty((t, n), dtype=np.int64)
     for i in range(t):
         j = d - t + i
@@ -68,7 +59,7 @@ def _sample_subsets(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndar
         if i:
             c[(cols[:i] == c).any(axis=0)] = j
         cols[i] = c
-    return np.ascontiguousarray(cols.T)
+    return cols.T
 
 
 def randomize_vector(x, params: ProtocolParams, rng: np.random.Generator):
@@ -80,19 +71,18 @@ def randomize_vector(x, params: ProtocolParams, rng: np.random.Generator):
         raise ValueError(f"expected a vector of length {params.d}, got shape {x.shape}")
     if not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError("vector entries must lie in [0, 1]")
-    coords = _sample_subsets(rng, 1, params.d, params.t)[0]
+    coords = _floyd_sample(rng, 1, params.d, params.t)[0]
     return coords, respond(x[coords], params.k, params.gamma, rng)
 
 
 def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     """Randomize a whole (n, d) dataset, one user per row.
 
-    Returns (coords, values), both int64 of shape (n, t): per user, a
-    uniform t-subset of coordinates (in no meaningful order) and the
-    randomized values at them.  Only the gathered entries are range-checked
-    (by `respond`), in O(n t).  These are `run_trial`'s blocks, joined, so
-    both make the same draws; at t = 1 the coordinates of a block of m
-    users are exactly rng.integers(0, d, size=m).
+    Returns (coords, values), both int64 (n, t): per user, a uniform
+    t-subset of coordinates (in no meaningful order) and the randomized
+    values there; only those entries are range-checked.  These are
+    `run_trial`'s blocks, joined, so both make the same draws; at t = 1 a
+    block of m users' coordinates is exactly rng.integers(0, d, size=m).
     """
     matrix = np.ascontiguousarray(matrix, dtype=float)
     n, d = matrix.shape
@@ -100,18 +90,22 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
         raise ValueError(
             f"dataset shape {matrix.shape} does not match params (n={params.n}, d={params.d})"
         )
-    blocks = [(c.copy(), v.copy()) for c, _, v in _randomize_rows(matrix, params, rng)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+    coords = np.empty((n, params.t), dtype=np.int64)
+    values = np.empty_like(coords)
+    start = 0
+    for c, _, v in _randomize_rows(matrix, params, rng):
+        coords[start : start + len(c)], values[start : start + len(c)] = c, v
+        start += len(c)
+    return coords, values
 
 
 def _randomize_rows(table: np.ndarray, params: ProtocolParams, rng: np.random.Generator):
     """Sample, gather and respond for params.n users, user i holding row
     i % rows of a C-contiguous float (rows, d) table (unchecked), in blocks
-    of max(1, BLOCK_ENTRIES // t) users.  Yields per block (coords,
-    sampled, values), each (m, t), drawn in that order: views into one
-    buffer, overwritten by the next block.  Being the largest allocation,
-    the buffer sets glibc's mmap (and so trim) threshold once it is freed,
-    so the heap keeps a trial's pages for the next one."""
+    of max(1, BLOCK_ENTRIES // t) users: yields (coords, sampled, values),
+    each (m, t), views into one buffer that the next block overwrites.  As
+    the largest allocation, the buffer lifts glibc's trim threshold once
+    freed, so the heap keeps a trial's pages for the next one."""
     rows, d = table.shape
     size = min(max(1, BLOCK_ENTRIES // params.t), params.n)
     # coords, sampled, then respond's three; its last first holds the index
@@ -120,7 +114,7 @@ def _randomize_rows(table: np.ndarray, params: ProtocolParams, rng: np.random.Ge
     for start in range(0, params.n, size):
         m = min(size, params.n - start)
         coords, index = work[0, :m].view(np.int64), work[4, :m].view(np.int64)
-        coords[...] = _sample_subsets(rng, m, d, params.t)
+        coords[...] = _floyd_sample(rng, m, d, params.t)
         np.add(ring[start % rows :][:m, None], coords, out=index)
         # in range by construction, so "clip" lets take gather unbuffered
         sampled = np.take(table, index, out=work[1, :m], mode="clip")

@@ -121,9 +121,9 @@ class TestAggregate:
             fn(coords, values, params)
 
     @pytest.mark.parametrize("t", [2, 5, 11, 12, 14])
-    def test_duplicates_found_by_both_checks(self, t):
-        # rows are compared column by column up to PAIRWISE_MAX_T = 11 and
-        # sorted above it; a repeat in any pair of columns is rejected
+    def test_duplicates_in_any_column_pair(self, t):
+        # rows are checked by comparing each column with those before it; a
+        # repeat in any pair of columns is rejected
         params = ProtocolParams(d=20, k=1, n=10, t=t, gamma=0.0)
         coords = np.tile(np.arange(t), (3, 1))
         values = np.zeros_like(coords)

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -247,12 +248,15 @@ class TestRunTrial:
             want = empirical_mse(est, truth, params).normalized_mse
             assert got.normalized_mse == pytest.approx(want, rel=1e-12, abs=0)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are Linux-specific")
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="the page reuse relies on glibc malloc's trimming"
+    )
     def test_trials_do_not_refault_their_memory(self):
         # Each trial reuses the pages of the one before: after two warm-up
         # trials, 20 trials at n = 200 000 take at most 100 minor page
         # faults each (allocating fresh (n, t) arrays per trial took ~3.5k).
-        # A fresh interpreter, so that the test process's own heap does not count.
+        # A fresh interpreter, so that the test process's own heap does not
+        # count, without allocator settings or preloads from the environment.
         script = textwrap.dedent(
             """
             import resource
@@ -269,7 +273,11 @@ class TestRunTrial:
             """
         )
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("MALLOC_") and key not in ("LD_PRELOAD", "GLIBC_TUNABLES")
+        }
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env,
             timeout=120, check=True,

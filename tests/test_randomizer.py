@@ -261,8 +261,7 @@ class TestRandomizeBatch:
     def test_subsets_jointly_uniform(self, d, t):
         # every t-subset has probability 1/C(d, t); within-row order is
         # not exchangeable under Floyd's algorithm, so only sets are
-        # compared.  The first two cases take Floyd's algorithm (t < d/2),
-        # the last two the random keys (t >= d/2).
+        # compared; the last two cases have t >= d/2
         params = self._params(n=60_000, d=d, t=t, gamma=0.0)
         coords, _ = randomize_batch(
             np.full((params.n, d), 0.5), params, np.random.default_rng(12)
