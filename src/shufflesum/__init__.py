@@ -12,7 +12,6 @@ from .accuracy import (
 )
 from .aggregation import (
     EstimateVector,
-    aggregate_arrays,
     analyze_arrays,
     estimate_average,
     shuffle,

@@ -3,9 +3,9 @@
 Submissions travel as a pair of integer (m, t) arrays (coordinates and
 values, one row per user).  The shuffler is an in-process uniform
 permutation of the rows: it only unbinds users from their submissions.
-The analyzer validates the arrays (`_tally`, under `aggregate_arrays`, is
-the one validator), buckets received values by coordinate, rescales by
-1/k, and removes the expected blanket contribution (debiasing).
+The analyzer (`analyze_arrays`) validates the arrays (`_tally` is the one
+validator), buckets received values by coordinate, rescales by 1/k, and
+removes the expected blanket contribution (debiasing).
 """
 
 from __future__ import annotations
@@ -39,22 +39,15 @@ def shuffle(coords, values, rng: np.random.Generator):
     return coords[perm], values[perm]
 
 
-def aggregate_arrays(coords, values, params: ProtocolParams):
-    """Per-coordinate sums (of value/k) and counts over a batch.
+def _tally(coords, values, params: ProtocolParams):
+    """Validate a batch, then count it per coordinate.
 
     Both arrays must be integer (not bool) of shape (m, t), with values in
     {0, ..., k} and distinct coordinates in {0, ..., d-1} per row, or
-    MalformedMessageError is raised.  Returns (sums, counts) as length-d
-    arrays; coordinates never received report sum 0, count 0.  Values are
-    summed as integers before the one division by k, so the result is
-    exactly invariant under any reordering of the rows.
+    MalformedMessageError is raised.  Returns the per-coordinate totals
+    of the values (integers, so exactly invariant under any reordering of
+    the rows) and counts; a coordinate never received reports 0 and 0.
     """
-    totals, counts = _tally(coords, values, params)
-    return totals / params.k, counts
-
-
-def _tally(coords, values, params: ProtocolParams):
-    """`aggregate_arrays` before the division by k: exact integer totals."""
     coords = np.asarray(coords)
     values = np.asarray(values)
     if coords.shape != values.shape or coords.ndim != 2 or coords.shape[1] != params.t:
@@ -95,7 +88,7 @@ def _debias(totals, counts, params: ProtocolParams) -> EstimateVector:
 
 
 def analyze_arrays(coords, values, params: ProtocolParams) -> EstimateVector:
-    """Full analyzer: `aggregate_arrays`, then `_debias`."""
+    """The analyzer: `_tally` (the one validator), then `_debias`."""
     return _debias(*_tally(coords, values, params), params)
 
 

@@ -4,9 +4,9 @@ parameter sweeps with CSV emission.
 A sweep varies exactly one axis (t, k, d, n or eps) while every other
 parameter stays at its configured value.  Per sweep point the blanket
 probability is recalibrated; for the d, n and eps axes the quantization
-level is re-chosen as well (except under manual calibration), since a k
-tuned for one operating point is far from optimal elsewhere and would
-distort the dependency being measured.
+level is re-chosen as well (unless gamma is set), since a k tuned for
+one operating point is far from optimal elsewhere and would distort the
+dependency being measured.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ FITTED_AXES = ("d", "n", "eps")
 CHOICES = {
     "axis": SWEEP_AXES,
     "normalize": ("clamp", "minmax"),
-    "calibration": ("auto", "general", "t1", "manual"),
+    "calibration": ("auto", "general"),
 }
 LONG_HEADER = (
     "axis",
@@ -77,7 +77,8 @@ class ExperimentConfig:
     """Sweep configuration; defaults follow the reference operating point.
 
     Sweep values are stored as the axis field's type, so every point is
-    an exact, valid setting of that field."""
+    an exact, valid setting of that field.  A set gamma is used as given,
+    so it needs calibration "auto" (see `resolve_point`)."""
 
     d: int = 100
     k: int = 3
@@ -97,6 +98,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name, kind in SETTING_TYPES.items():
+            if kind is int:
+                _check_integer(name, getattr(self, name))
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
             if value not in allowed and not (name == "axis" and value is None):
@@ -114,8 +118,13 @@ class ExperimentConfig:
             object.__setattr__(self, "values", tuple(map(kind, self.values)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.calibration == "manual" and self.gamma is None:
-            raise ValueError("manual calibration requires an explicit gamma")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.gamma is not None:
+            if not 0.0 <= self.gamma <= 1.0:
+                raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+            if self.calibration == "general":
+                raise ValueError("a set gamma is used as given, so calibration must be auto")
 
 
 # Each setting's scalar type: int, float, str, bool, or tuple for values.
@@ -250,37 +259,31 @@ def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialR
     return empirical_mse(_debias(totals, counts, params), truth, params)
 
 
-def _point_config(config: ExperimentConfig, value):
-    if config.axis is None or value is None:
-        return config
-    return replace(config, **{config.axis: value})
-
-
 def resolve_point(config: ExperimentConfig, value=None):
-    """Calibrate one sweep point.  Returns (params, budget, mode)."""
-    pc = _point_config(config, value)
+    """Calibrate one sweep point.  Returns (params, budget, mode), where
+    mode is "manual" when gamma is set, "t1" under auto calibration at
+    t = 1, and "general" otherwise."""
+    pc = config
+    if config.axis is not None and value is not None:
+        pc = replace(config, **{config.axis: value})
     budget = PrivacyBudget(pc.eps, pc.delta)
-    mode = pc.calibration
-    if mode == "auto":
-        mode = "t1" if pc.t == 1 else "general"
-    if mode == "t1" and pc.t != 1:
-        raise ValueError("t1 calibration requires t = 1")
-    k = pc.k
-    if config.axis in FITTED_AXES and mode != "manual":
-        if mode == "t1":
-            k = choose_k_t1(budget, pc.d, pc.n)
-        else:
-            k = choose_k_general(budget, pc.d, pc.n, pc.t)
-    if mode == "manual":
-        gamma = pc.gamma
-    elif mode == "t1":
-        gamma = calibrate_gamma_t1(budget, pc.d, k, pc.n)
+    if pc.gamma is not None:
+        mode = "manual"
+    elif pc.calibration == "auto" and pc.t == 1:
+        mode = "t1"
     else:
+        mode = "general"
+    k, gamma = pc.k, pc.gamma
+    if mode == "t1":
+        if config.axis in FITTED_AXES:
+            k = choose_k_t1(budget, pc.d, pc.n)
+        gamma = calibrate_gamma_t1(budget, pc.d, k, pc.n)
+    elif mode == "general":
+        if config.axis in FITTED_AXES:
+            k = choose_k_general(budget, pc.d, pc.n, pc.t)
         gamma = calibrate_gamma_general(budget, pc.d, k, pc.n, pc.t)
     if gamma >= 1.0:
-        raise InfeasibleParametersError(
-            f"gamma = {gamma:.6g} leaves no truthful signal"
-        )
+        raise InfeasibleParametersError(f"gamma = {gamma:.6g} leaves no truthful signal")
     params = ProtocolParams(d=pc.d, k=k, n=pc.n, t=pc.t, gamma=gamma)
     return params, budget, mode
 

@@ -168,9 +168,8 @@ class TestExactTailProbability:
         assert tp.s == 10000
         got = exact_tail_probability(tp, gamma, 1)
         assert got <= 0.1
-        assert got == pytest.approx(
-            oracle_tail(tp.s, gamma, 1, tp.eps_prime), rel=1e-9
-        )
+        want = pmf_sum_tail(tp.s, gamma, 1, tp.c, tp.eps_prime)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_monotone_nonincreasing_in_occupancy(self):
         gamma, k, eps_prime = 0.3, 1, 0.4

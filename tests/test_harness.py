@@ -22,6 +22,9 @@ from shufflesum import (
     ProtocolParams,
     analyze_arrays,
     bound_mse_general,
+    calibrate_gamma_general,
+    choose_k_general,
+    choose_k_t1,
     empirical_mse,
     emit_outputs,
     fit_matrix,
@@ -73,6 +76,17 @@ class TestIngestCsv:
         p = tmp_path / "nonfinite.csv"
         p.write_text(f"0.1,0.2,0.3\n0.4,{cell},0.6\n")
         with pytest.raises(ValueError, match="non-finite cell at row 2, column 2"):
+            ingest_csv(p)
+
+    def test_blank_lines_skipped_and_rows_named_by_file_line(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("0.1,0.2\n\n   \n0.3,0.4\n")
+        assert np.array_equal(ingest_csv(p).values, [[0.1, 0.2], [0.3, 0.4]])
+        p.write_text("0.1,0.2\n\n   \n0.3,oops\n")
+        with pytest.raises(ValueError, match="row 4, column 2"):
+            ingest_csv(p)
+        p.write_text("0.1,0.2\n \t\n\n0.3,nan\n")
+        with pytest.raises(ValueError, match="non-finite cell at row 4, column 2"):
             ingest_csv(p)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -139,14 +153,36 @@ class TestExperimentConfig:
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(normalize="zscore")
-        with pytest.raises(ValueError):
-            ExperimentConfig(calibration="manual")  # needs gamma
+        with pytest.raises(ValueError, match="calibration must be auto"):
+            ExperimentConfig(calibration="general", gamma=0.3)  # gamma is used as given
         # t, k, d and n sweep values follow ProtocolParams' integer rule
         for axis, value in (("d", 50.7), ("k", 2.9), ("t", True), ("n", "5000")):
             with pytest.raises(ValueError, match=re.escape(repr(value))):
                 ExperimentConfig(axis=axis, values=(value,))
         with pytest.raises(ValueError, match="axis"):
             ExperimentConfig(values=(50,))  # values without an axis
+
+    @pytest.mark.parametrize("mode", ["t1", "manual"])
+    def test_only_auto_and_general_calibration(self, mode):
+        # t and gamma already pick the t1 and manual analyses
+        with pytest.raises(ValueError, match=re.escape("('auto', 'general')")):
+            ExperimentConfig(calibration=mode, gamma=0.3)
+
+    @pytest.mark.parametrize("name", ["d", "k", "n", "t", "trials", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_integer_settings_must_be_integers(self, name, value):
+        # checked when the config is built, before any calibration or trial
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            ExperimentConfig(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(seed=-1)
+
+    @pytest.mark.parametrize("gamma", [1.5, -0.5, float("nan")])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        with pytest.raises(ValueError, match=re.escape(f"gamma must be in [0, 1], got {gamma}")):
+            ExperimentConfig(gamma=gamma)
 
     def test_sweep_values_take_the_axis_type(self):
         (d,) = ExperimentConfig(axis="d", values=(np.int64(50),)).values
@@ -168,9 +204,37 @@ class TestResolvePoint:
         assert params.t == 2
 
     def test_manual_gamma_passthrough(self):
-        cfg = ExperimentConfig(calibration="manual", gamma=0.3)
+        cfg = ExperimentConfig(gamma=0.3)
         params, _, mode = resolve_point(cfg)
         assert mode == "manual" and params.gamma == 0.3
+
+    @pytest.mark.parametrize(
+        "over, want",
+        [
+            ({}, "t1"),
+            ({"t": 2}, "general"),
+            ({"calibration": "general"}, "general"),
+            ({"calibration": "general", "t": 2}, "general"),
+            ({"gamma": 0.3, "t": 2}, "manual"),
+        ],
+    )
+    def test_mode_follows_t_and_gamma(self, over, want):
+        _, _, mode = resolve_point(ExperimentConfig(**over))
+        assert mode == want
+
+    def test_general_k_rechosen_on_fitted_axes(self):
+        # t > 1 on a d sweep: k comes from choose_k_general (2 at d = 50,
+        # where the configured k is 3 and choose_k_t1 also gives 3)
+        cfg = ExperimentConfig(t=2, axis="d", values=(50, 100))
+        params, budget, mode = resolve_point(cfg, 50)
+        assert mode == "general"
+        assert params.k == choose_k_general(budget, 50, cfg.n, 2) == 2
+        assert choose_k_t1(budget, 50, cfg.n) == 3
+        assert params.gamma == calibrate_gamma_general(budget, 50, 2, cfg.n, 2)
+
+    def test_gamma_one_is_infeasible(self):
+        with pytest.raises(InfeasibleParametersError, match="no truthful signal"):
+            resolve_point(ExperimentConfig(gamma=1.0))
 
     def test_auto_k_only_on_fitted_axes(self):
         cfg = ExperimentConfig(axis="d", values=(50, 100))
@@ -179,6 +243,9 @@ class TestResolvePoint:
         cfg = ExperimentConfig(axis="k", values=(2,))
         params, _, _ = resolve_point(cfg, 2)
         assert params.k == 2
+        cfg = ExperimentConfig(axis="d", values=(50, 100), gamma=0.3)
+        params, _, _ = resolve_point(cfg, 100)
+        assert (params.k, params.gamma) == (3, 0.3)  # a set gamma keeps k
 
     def test_infeasible_point_raises(self):
         cfg = ExperimentConfig(d=100, n=2000, eps=0.5, delta=0.1)
@@ -430,14 +497,14 @@ class TestRunSweep:
     def test_general_calibration_at_t1_is_scored_against_general_bound(self, dataset):
         # gamma from the general calibration carries the general bound even
         # at t = 1 (the tightened t = 1 bound, 0.122 here, sits below the
-        # measured MSE); manual gamma carries it too
+        # measured MSE); a set gamma carries it too
         cfg = ExperimentConfig(t=1, calibration="general", eps=4.0, trials=20)
         with pytest.warns(UserWarning):  # delta >= 1/n
             (point,) = run_sweep(cfg, matrix=dataset).summary
         params, budget, _ = resolve_point(cfg)
         assert point["bound_mse"] == bound_mse_general(params, budget).mse_bound
         assert point["mean_normalized_mse"] <= point["bound_mse"]
-        manual = replace(cfg, calibration="manual", gamma=params.gamma, trials=1)
+        manual = replace(cfg, calibration="auto", gamma=params.gamma, trials=1)
         with pytest.warns(UserWarning):
             (point,) = run_sweep(manual, matrix=dataset).summary
         assert point["bound_mse"] == bound_mse_general(params, budget).mse_bound
@@ -506,6 +573,18 @@ class TestEmitOutputs:
             Path(paths["summary"]).read_bytes() == Path(paths2["summary"]).read_bytes()
         )
 
+    def test_skipped_point_left_out_of_plot(self, small_matrix, tmp_path):
+        cfg = _small_sweep_config(values=(0.05, 0.6, 0.75, 0.9), trials=2)
+        with pytest.warns(UserWarning):  # delta >= 1/n
+            result = run_sweep(cfg, matrix=small_matrix)
+        assert [s["status"] for s in result.summary] == ["skipped", "ok", "ok", "ok"]
+        paths = emit_outputs(result, tmp_path / "out")
+        with open(paths["plot"], newline="") as fh:
+            plotted = [float(row["value"]) for row in csv.DictReader(fh)]
+        assert plotted == [0.6, 0.75, 0.9]
+        with open(paths["summary"], newline="") as fh:
+            assert [row["status"] for row in csv.DictReader(fh)][0] == "skipped"
+
     def test_plot_file_only_for_fitted_axes(self, small_matrix, tmp_path):
         cfg = ExperimentConfig(
             d=5, k=2, n=5000, eps=0.6, delta=1e-4, axis="k", values=(1, 2), trials=2
@@ -565,6 +644,37 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "t1" in out and "gamma=" in out
+
+    def test_params_with_gamma_uses_it(self, capsys):
+        assert main(["params", "--gamma", "0.3"]) == 0
+        out = capsys.readouterr().out
+        assert "calibration mode: manual\n" in out and "gamma=0.3\n" in out
+
+    @pytest.mark.parametrize("mode", ["t1", "manual"])
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    def test_removed_calibration_modes_exit_1(self, tmp_path, capsys, mode, form):
+        if form == "flag":
+            argv = ["params", "--calibration", mode, "--gamma", "0.3"]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"calibration={mode}\ngamma=0.3\n")
+            argv = ["params", "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "'auto'" in err and "'general'" in err
+
+    def test_gamma_with_general_calibration_exits_1(self, capsys):
+        assert main(["params", "--calibration", "general", "--gamma", "0.3"]) == 1
+        assert "calibration must be auto" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", ["1.5", "-0.5", "nan"])
+    def test_gamma_outside_unit_interval_exits_1(self, gamma, capsys):
+        assert main(["params", "--gamma", gamma]) == 1
+        assert "gamma must be in [0, 1]" in capsys.readouterr().err
+
+    def test_gamma_one_exits_2(self, capsys):
+        assert main(["params", "--gamma", "1"]) == 2
+        assert "infeasible" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self):
         code = main(
@@ -707,7 +817,7 @@ class TestCli:
                 "audit",
                 "--n", "6", "--d", "1", "--k", "1", "--t", "1",
                 "--eps", "0.5", "--delta", "0.05",
-                "--calibration", "manual", "--gamma", "0.9",
+                "--gamma", "0.9",
                 "--trials", "200000", "--seed", "0",
             ]
         )
@@ -717,7 +827,7 @@ class TestCli:
                 "audit",
                 "--n", "6", "--d", "1", "--k", "1", "--t", "1",
                 "--eps", "0.5", "--delta", "0.05",
-                "--calibration", "manual", "--gamma", "0.0",
+                "--gamma", "0.0",
                 "--trials", "50000", "--seed", "0",
             ]
         )
