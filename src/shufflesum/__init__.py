@@ -49,6 +49,6 @@ from .harness import (
     run_trial,
     trial_seed,
 )
-from .randomizer import randomize_batch, randomize_vector, respond
+from .randomizer import randomize_batch, respond
 
 __version__ = "0.1.0"

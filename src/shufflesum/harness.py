@@ -152,31 +152,28 @@ class SweepResult:
     amplitude: float | None = None
 
 
-def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> DatasetMatrix:
-    """Read a CSV of real-valued rows into a [0, 1] matrix.
-
-    drop_label removes the trailing column.  normalize="clamp" clips into
-    [0, 1]; "minmax" rescales by the global min/max.  Unparseable and
-    non-finite (nan, inf) cells are reported with their row/column position.
-    """
-    if normalize not in CHOICES["normalize"]:
-        raise ValueError(f"normalize must be one of {CHOICES['normalize']}, got {normalize!r}")
+def _read_cells(path) -> np.ndarray:
+    """`ingest_csv`'s per-cell reader: the only one that reads quoted cells,
+    "1_0" and whitespace-only lines, and that names an error's position."""
     rows, line_numbers = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: unparseable cell at row {i + 1}, column {j + 1}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
-            line_numbers.append(i + 1)
+        try:
+            for i, row in enumerate(reader):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                parsed = []
+                for j, cell in enumerate(row):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: unparseable cell at row {i + 1}, column {j + 1}: {cell!r}"
+                        ) from None
+                rows.append(parsed)
+                line_numbers.append(i + 1)
+        except csv.Error as exc:  # a cell over csv.field_size_limit(), say
+            raise ValueError(f"{path}: unreadable CSV at line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     widths = {len(r) for r in rows}
@@ -189,6 +186,31 @@ def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> Data
         raise ValueError(
             f"{path}: non-finite cell at row {line_numbers[r]}, column {j + 1}: {rows[r][j]}"
         )
+    return matrix
+
+
+def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> DatasetMatrix:
+    """Read a CSV of real-valued rows into a [0, 1] matrix.
+
+    drop_label removes the trailing column.  normalize="clamp" clips into
+    [0, 1]; "minmax" rescales by the global min/max.  Unparseable and
+    non-finite (nan, inf) cells are reported with their row/column position.
+    One np.loadtxt call parses the file; one that it rejects, or that holds
+    a non-finite cell, is read again by `_read_cells`.
+    """
+    if normalize not in CHOICES["normalize"]:
+        raise ValueError(f"normalize must be one of {CHOICES['normalize']}, got {normalize!r}")
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+        try:  # numpy strips \x1c-\x1f around a number, where float() refuses it
+            if any(map(fh.read().__contains__, "\x1c\x1d\x1e\x1f")):
+                raise ValueError("a separator \\x1c-\\x1f")
+            fh.seek(0)  # a handle, as numpy imports gzip to open a path
+            matrix = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)  # "#" is a cell
+        except (ValueError, UserWarning):
+            matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        matrix = _read_cells(path)
     steps = [f"read {matrix.shape[0]}x{matrix.shape[1]} from {path}"]
     if drop_label:
         if matrix.shape[1] < 2:
@@ -422,18 +444,8 @@ def emit_outputs(result: SweepResult, out_dir):
     if result.exponent is not None:
         paths["plot"] = os.path.join(out_dir, "plot.csv")
         header = ("value", "mean_normalized_mse", "stderr_normalized_mse", "fitted")
-        rows = []
-        for s in result.summary:
-            if s["status"] != "ok":
-                continue
-            x = float(s["value"])
-            rows.append(
-                {
-                    "value": s["value"],
-                    "mean_normalized_mse": s["mean_normalized_mse"],
-                    "stderr_normalized_mse": s["stderr_normalized_mse"],
-                    "fitted": result.amplitude * x**result.exponent,
-                }
-            )
-        _write_csv(paths["plot"], header, rows)
+        ok = [s for s in result.summary if s["status"] == "ok"]
+        fitted = [result.amplitude * float(s["value"]) ** result.exponent for s in ok]
+        rows = [{**s, "fitted": f} for s, f in zip(ok, fitted)]
+        _write_csv(paths["plot"], header, rows)  # writes only the header's columns
     return paths

@@ -62,19 +62,6 @@ def _floyd_sample(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndarra
     return cols.T
 
 
-def randomize_vector(x, params: ProtocolParams, rng: np.random.Generator):
-    """Randomize one user's vector (entries in [0, 1], all checked): sample
-    t distinct coordinates, then pass them through `respond`.  Returns
-    (coords, values), int64 arrays of shape (t,)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.d,):
-        raise ValueError(f"expected a vector of length {params.d}, got shape {x.shape}")
-    if not (x.min() >= 0.0 and x.max() <= 1.0):
-        raise ValueError("vector entries must lie in [0, 1]")
-    coords = _floyd_sample(rng, 1, params.d, params.t)[0]
-    return coords, respond(x[coords], params.k, params.gamma, rng)
-
-
 def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     """Randomize a whole (n, d) dataset, one user per row.
 

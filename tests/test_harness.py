@@ -1,5 +1,6 @@
 """Experiment harness and CLI: ingestion, sweeps, emission, exit codes."""
 
+import contextlib
 import csv
 import importlib
 import importlib.util
@@ -10,11 +11,15 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shufflesum import (
     ExperimentConfig,
@@ -39,6 +44,42 @@ from shufflesum import (
 from shufflesum import aggregation, cli, harness, randomizer
 from shufflesum.cli import main
 from shufflesum.harness import LONG_HEADER
+
+
+# Cells the fast parse and float() both read, and cells only one of them
+# takes: quoted, "1_0", "#", empty, padded, and separators numpy strips
+_NUMBER_CELLS = st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.sampled_from(
+    ["0.25", "1", "0", "-0", "3e2", "1e400", "nan", "inf", "-inf", "Infinity", ".5", "5."]
+)
+_ODD_CELLS = st.sampled_from(
+    ["1_0", '"0.75"', '""', "#0.5", "", " ", " 0.5 ", "\t1", "x", "0x1", "\x1c1", "1\x1f", "\xa02"]
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """Small CSV texts: rows of a common width or ragged, blank and
+    whitespace-only lines, and \\n, \\r\\n or \\r line ends."""
+    width = draw(st.integers(1, 3))
+    cells = st.one_of(_NUMBER_CELLS, _NUMBER_CELLS, _ODD_CELLS)
+    row = st.lists(cells, min_size=width, max_size=width) | st.lists(cells, min_size=1, max_size=4)
+    line = row.map(",".join) | st.sampled_from(["", "  ", "\t"])
+    lines = draw(st.lists(line, max_size=5))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(a + b for a, b in zip(lines, ends))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+def _ingest_outcome(path, slow=False, **kwargs):
+    """ingest_csv's values (bytes and shape) and provenance, or its error;
+    slow=True forces the per-cell reader by failing the numpy call."""
+    fail = mock.patch.object(np, "loadtxt", side_effect=ValueError)
+    with fail if slow else contextlib.nullcontext():
+        try:
+            ds = ingest_csv(path, **kwargs)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return ds.values.tobytes(), ds.values.shape, ds.provenance
 
 
 class TestIngestCsv:
@@ -120,6 +161,31 @@ class TestIngestCsv:
             with pytest.raises(ValueError) as caught:
                 ingest_csv(p, normalize="zscore")
             assert all(repr(c) in str(caught.value) for c in harness.CHOICES["normalize"])
+
+    def test_corpus_reads_the_same_by_both_paths(self, signal_csv):
+        # the benchmark corpus takes the one-call parse, not the per-cell one
+        with mock.patch.object(harness, "_read_cells", side_effect=AssertionError):
+            fast = _ingest_outcome(signal_csv, drop_label=True, normalize="clamp")
+        assert fast == _ingest_outcome(signal_csv, drop_label=True, normalize="clamp", slow=True)
+
+    @given(
+        text=_csv_texts(),
+        drop_label=st.booleans(),
+        normalize=st.sampled_from(harness.CHOICES["normalize"]),
+    )
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # one file, rewritten
+    )
+    def test_agrees_with_the_per_cell_reader(self, tmp_path, text, drop_label, normalize):
+        # the same bytes and provenance, or the same error, and no warning
+        p = tmp_path / "fuzz.csv"
+        p.write_text(text, newline="")
+        kwargs = dict(drop_label=drop_label, normalize=normalize)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ingest_outcome(p, **kwargs) == _ingest_outcome(p, **kwargs, slow=True)
 
 
 class TestFitMatrix:
@@ -413,6 +479,12 @@ def test_cli_import_loads_no_scipy_and_all_that_main_needs(tmp_path):
         "run", "--n", "10000", "--d", "2", "--k", "1", "--eps", "1", "--delta", "1e-5",
         "--trials", "1", "--dataset", str(data),
     ]
+    ingest_check = ["ingest-check", "--dataset", str(data), "--normalize", "minmax"]
+    sweep = [
+        "sweep", "--n", "10000", "--d", "2", "--eps", "1", "--delta", "1e-5", "--trials", "1",
+        "--dataset", str(data), "--axis", "d", "--values", "1,2,3",
+        "--out-dir", str(tmp_path / "out"),
+    ]
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
@@ -429,8 +501,9 @@ def test_cli_import_loads_no_scipy_and_all_that_main_needs(tmp_path):
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argvs = [["params"], audit_tiny, run, ingest_check, sweep]
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([["params"], audit_tiny, run])],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert json.loads(proc.stdout) == {"scipy": [], "new": []}
@@ -700,6 +773,16 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "800 rows x 187 columns" in out
+
+    def test_ingest_check_oversized_cell_is_one_error_line(self, tmp_path, capsys):
+        # a cell over the csv module's field limit raises csv.Error, which is
+        # no ValueError: unless re-raised as one, main prints a traceback
+        p = tmp_path / "big.csv"
+        p.write_text("0.1," + "1" * 140_000 + "\n")
+        assert main(["ingest-check", "--dataset", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{p}: unreadable CSV at line 1: field larger than field limit" in err
 
     def test_sweep_writes_outputs(self, signal_csv, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"

@@ -1,6 +1,5 @@
 """Local randomizer: the mechanism kernel (fixed-point encoding and
-randomized response), coordinate sampling, and the per-user and batch
-entry points."""
+randomized response), coordinate sampling, and the batch entry point."""
 
 import itertools
 
@@ -9,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflesum import ProtocolParams, randomize_batch, randomize_vector, respond
+from shufflesum import ProtocolParams, randomize_batch, respond
+from shufflesum.randomizer import _floyd_sample
 
 
 class TestEncodeFixedPoint:
@@ -159,66 +159,62 @@ class TestOneUniformLaw:
 
 
 class TestRandomizeVector:
+    """Each user's vector is randomized on its own: these per-user laws are
+    checked over a batch of users holding the same vector."""
+
+    def _batch(self, x, params, seed):
+        matrix = np.tile(np.asarray(x, dtype=float), (params.n, 1))
+        return matrix, randomize_batch(matrix, params, np.random.default_rng(seed))
+
     def test_lossless_limit(self):
         # t=d, gamma=0, huge k: y/k reconstructs the vector to within 1/k
         k = 10**6
         params = ProtocolParams(d=3, k=k, n=10, t=3, gamma=0.0)
         x = np.array([0.123456, 0.9999, 0.5])
-        coords, values = randomize_vector(x, params, np.random.default_rng(0))
-        assert sorted(coords.tolist()) == [0, 1, 2]
+        _, (coords, values) = self._batch(x, params, 0)
+        assert np.array_equal(np.sort(coords, axis=1), np.tile([0, 1, 2], (params.n, 1)))
         assert np.all(np.abs(values / k - x[coords]) <= 1 / k)
 
     def test_coordinate_sampling_uniform(self):
-        params = ProtocolParams(d=4, k=2, n=10, t=1, gamma=0.1)
-        rng = np.random.default_rng(9)
-        x = np.full(4, 0.5)
         draws = 20_000
-        hits = np.zeros(4)
-        for _ in range(draws):
-            hits[randomize_vector(x, params, rng)[0][0]] += 1
-        freq = hits / draws
+        coords = _floyd_sample(np.random.default_rng(9), draws, 4, 1)
+        freq = np.bincount(coords[:, 0], minlength=4) / draws
         assert np.all(np.abs(freq - 0.25) < 0.01)
 
     def test_pure_blanket_value_distribution_uniform(self):
-        params = ProtocolParams(d=2, k=3, n=10, t=1, gamma=1.0)
-        rng = np.random.default_rng(4)
-        x = np.array([0.0, 1.0])
         draws = 40_000
-        vals = np.array(
-            [randomize_vector(x, params, rng)[1][0] for _ in range(draws)]
-        )
+        params = ProtocolParams(d=2, k=3, n=draws, t=1, gamma=1.0)
+        _, (_, values) = self._batch([0.0, 1.0], params, 4)
         se = np.sqrt(0.25 * 0.75 / draws)
         for sym in range(4):
-            assert abs((vals == sym).mean() - 0.25) < 4 * se
+            assert abs((values == sym).mean() - 0.25) < 4 * se
 
     def test_distinct_coordinates_and_domain(self):
-        params = ProtocolParams(d=6, k=4, n=10, t=4, gamma=0.5)
-        rng = np.random.default_rng(1)
-        x = np.linspace(0, 1, 6)
-        for _ in range(200):
-            coords, values = randomize_vector(x, params, rng)
-            assert len(set(coords.tolist())) == params.t
-            assert coords.min() >= 0 and coords.max() < params.d
-            assert values.min() >= 0 and values.max() <= params.k
+        params = ProtocolParams(d=6, k=4, n=200, t=4, gamma=0.5)
+        _, (coords, values) = self._batch(np.linspace(0, 1, 6), params, 1)
+        for row in coords.tolist():
+            assert len(set(row)) == params.t
+        assert coords.min() >= 0 and coords.max() < params.d
+        assert values.min() >= 0 and values.max() <= params.k
 
     def test_rejects_bad_vectors(self):
-        params = ProtocolParams(d=3, k=2, n=10, t=1, gamma=0.1)
+        params = ProtocolParams(d=3, k=2, n=100, t=1, gamma=0.1)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            randomize_vector([0.1, 0.2], params, rng)
-        # the whole row is checked, not only the sampled coordinate
+            randomize_batch(np.full((params.n, 2), 0.5), params, rng)
+        # an out-of-range entry raises once a user samples it (all but
+        # surely one of 100 users does)
         for bad in (1.5, -0.5, np.nan):
-            for _ in range(5):
-                with pytest.raises(ValueError):
-                    randomize_vector([0.1, 0.2, bad], params, rng)
+            with pytest.raises(ValueError):
+                self._batch([0.1, 0.2, bad], params, 0)
 
     def test_deterministic_given_seed(self):
         params = ProtocolParams(d=5, k=3, n=10, t=2, gamma=0.4)
         x = np.linspace(0.1, 0.9, 5)
-        a = randomize_vector(x, params, np.random.default_rng(123))
-        b = randomize_vector(x, params, np.random.default_rng(123))
+        _, a = self._batch(x, params, 123)
+        _, b = self._batch(x, params, 123)
         for arr_a, arr_b in zip(a, b):
-            assert arr_a.dtype == np.int64 and arr_a.shape == (params.t,)
+            assert arr_a.dtype == np.int64 and arr_a.shape == (params.n, params.t)
             assert np.array_equal(arr_a, arr_b)
 
 
