@@ -164,14 +164,14 @@ class TestRandomizeVector:
 
     def _batch(self, x, params, seed):
         matrix = np.tile(np.asarray(x, dtype=float), (params.n, 1))
-        return matrix, randomize_batch(matrix, params, np.random.default_rng(seed))
+        return randomize_batch(matrix, params, np.random.default_rng(seed))
 
     def test_lossless_limit(self):
         # t=d, gamma=0, huge k: y/k reconstructs the vector to within 1/k
         k = 10**6
         params = ProtocolParams(d=3, k=k, n=10, t=3, gamma=0.0)
         x = np.array([0.123456, 0.9999, 0.5])
-        _, (coords, values) = self._batch(x, params, 0)
+        coords, values = self._batch(x, params, 0)
         assert np.array_equal(np.sort(coords, axis=1), np.tile([0, 1, 2], (params.n, 1)))
         assert np.all(np.abs(values / k - x[coords]) <= 1 / k)
 
@@ -184,14 +184,14 @@ class TestRandomizeVector:
     def test_pure_blanket_value_distribution_uniform(self):
         draws = 40_000
         params = ProtocolParams(d=2, k=3, n=draws, t=1, gamma=1.0)
-        _, (_, values) = self._batch([0.0, 1.0], params, 4)
+        _, values = self._batch([0.0, 1.0], params, 4)
         se = np.sqrt(0.25 * 0.75 / draws)
         for sym in range(4):
             assert abs((values == sym).mean() - 0.25) < 4 * se
 
     def test_distinct_coordinates_and_domain(self):
         params = ProtocolParams(d=6, k=4, n=200, t=4, gamma=0.5)
-        _, (coords, values) = self._batch(np.linspace(0, 1, 6), params, 1)
+        coords, values = self._batch(np.linspace(0, 1, 6), params, 1)
         for row in coords.tolist():
             assert len(set(row)) == params.t
         assert coords.min() >= 0 and coords.max() < params.d
@@ -211,8 +211,8 @@ class TestRandomizeVector:
     def test_deterministic_given_seed(self):
         params = ProtocolParams(d=5, k=3, n=10, t=2, gamma=0.4)
         x = np.linspace(0.1, 0.9, 5)
-        _, a = self._batch(x, params, 123)
-        _, b = self._batch(x, params, 123)
+        a = self._batch(x, params, 123)
+        b = self._batch(x, params, 123)
         for arr_a, arr_b in zip(a, b):
             assert arr_a.dtype == np.int64 and arr_a.shape == (params.n, params.t)
             assert np.array_equal(arr_a, arr_b)
