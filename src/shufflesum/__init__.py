@@ -18,12 +18,10 @@ from .aggregation import (
 )
 from .audit import (
     AuditVerdict,
-    NeighborPair,
     TailParams,
     chernoff_upper_bound,
     exact_audit,
     exact_tail_probability,
-    outcome_distribution,
     tail_params_from_protocol,
 )
 from .calibration import (

@@ -8,13 +8,13 @@ Two routes are provided:
   with the pmf-ratio recurrence out from the mode, so a tail far below
   1e-16 keeps its relative accuracy without a special-function library,
   and
-* an exact audit of the full t = 1 mechanism on tiny instances: the
-  shuffled output is a histogram over the d (k+1) (coordinate, value)
-  cells, its distribution is the convolution of the n users' categorical
-  distributions, and the hockey-stick divergence
-  delta(eps) = sum_o max(0, P(o) - e^eps Q(o)) of a neighbour pair is
-  summed over every outcome, in both directions.  No sampling is
-  involved, so the verdict is deterministic.
+* an exact audit of the full t = 1 mechanism on n all-zero users
+  against the same users with a final user of ones.  The shuffled
+  histogram's likelihood ratio depends only on the numbers A and B of
+  reports of value 0 and of value k, whose law is trinomial, so the
+  hockey-stick divergence delta(eps) = sum max(0, P - e^eps Q) is summed
+  exactly, in both directions, over the (n+1)^2 grid of (A, B), for any
+  d and k.  No sampling is involved, so the verdict is deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .calibration import PrivacyBudget, ProtocolParams, compose_epsilon_prime
 from .exceptions import InfeasibleParametersError
 
-# Largest dense outcome table outcome_distribution builds, in entries.
+# Largest (A, B) table exact_audit builds, in entries: n <= 3161.
 MAX_OUTCOMES = 10**7
 
 
@@ -45,14 +45,6 @@ class TailParams:
     eps_prime: float
     t: int
     delta: float
-
-
-@dataclass(frozen=True)
-class NeighborPair:
-    """Dataset plus a replacement input for the final user."""
-
-    dataset: np.ndarray  # (n, d), entries in [0, 1]
-    alt_last: np.ndarray  # (d,)
 
 
 @dataclass(frozen=True)
@@ -175,62 +167,34 @@ def chernoff_upper_bound(tp: TailParams) -> float:
     return first + second
 
 
-def outcome_distribution(matrix, params: ProtocolParams) -> np.ndarray:
-    """Exact distribution of the shuffled t = 1 mechanism's output on
-    `matrix`: the histogram of received values over the d (k+1) cells,
-    cell coordinate (k+1) + value.
-
-    The last cell holds n minus the others, so the result is a dense float
-    array of shape (n+1,) * (d(k+1) - 1) indexed by the counts of the
-    first d(k+1) - 1 cells (entries whose counts sum past n are 0).  It is
-    built by convolving in one user at a time.  A user with input x at
-    coordinate j lands in cell j (k+1) + y with probability
-    ((1 - gamma) enc(y) + gamma / (k+1)) / d, where enc puts 1 - f on
-    floor(x k) and f on floor(x k) + 1, f = x k - floor(x k): the law of
-    `randomizer.respond` after a uniform coordinate draw.
-    """
-    if params.t != 1:
-        raise ValueError("outcome enumeration requires t = 1")
-    matrix = np.asarray(matrix, dtype=float)
-    n, d, k = params.n, params.d, params.k
-    if matrix.shape != (n, d):
-        raise ValueError(
-            f"dataset shape {matrix.shape} does not match params (n={n}, d={d})"
-        )
-    if not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
-        raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
-    free = d * (k + 1) - 1
-    if (n + 1) ** free > MAX_OUTCOMES:
-        raise ValueError(
-            f"outcome space too large to enumerate ((n+1)^{free} entries, n={n})"
-        )
-    levels = np.arange(k + 1)
-    scaled = matrix[:, :, None] * k
-    base = np.floor(scaled)
-    enc = np.where(levels == base, 1.0 - (scaled - base), 0.0)
-    enc += np.where(levels == base + 1, scaled - base, 0.0)
-    gamma = params.gamma
-    cell_probs = ((1.0 - gamma) * enc + gamma / (k + 1)).reshape(n, -1) / d
-    dist = np.zeros((n + 1,) * free)
-    dist[(0,) * free] = 1.0
-    # a count of n is unreachable before the last user joins, so the
-    # wrap-around of each one-cell shift only moves zeros
-    for probs in cell_probs:
-        dist = probs[-1] * dist + sum(
-            probs[cell] * np.roll(dist, 1, axis=cell) for cell in range(free)
-        )
-    return dist
+def _trinomial(m: int, probs) -> np.ndarray:
+    """Table of Pr[A = i, B = j] over i, j in 0..m for
+    (A, B, m - A - B) ~ Trinomial(m; probs), from log-factorials; a zero
+    probability raised to a zero count contributes a factor 1."""
+    a, b = np.ogrid[: m + 1, : m + 1]
+    c = m - a - b
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(m + 1)])
+    log_pmf = log_fact[m] - log_fact[a] - log_fact[b] - log_fact[np.maximum(c, 0)]
+    for count, prob in zip(np.broadcast_arrays(a, b, c), probs):
+        if prob > 0.0:
+            log_pmf += count * math.log(prob)
+        else:
+            log_pmf[count > 0] = -math.inf
+    return np.where(c >= 0, np.exp(log_pmf), 0.0)
 
 
-def exact_audit(
-    pair: NeighborPair, params: ProtocolParams, budget: PrivacyBudget
-) -> AuditVerdict:
-    """Exact hockey-stick audit of the t = 1 mechanism on a neighbour pair.
+def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
+    """Exact hockey-stick audit of the t = 1 mechanism on n all-zero users
+    (P) against the same users with a final user of ones (Q).
 
-    P and Q are the outcome distributions on the dataset and on its
-    neighbour (final user replaced by alt_last), and
-    delta(eps) = max(sum_o max(0, P(o) - e^eps Q(o)), the same with P and
-    Q swapped).  The audit passes iff delta(budget.epsilon) <= budget.delta.
+    A report of input 0 is 0 with probability a = 1 - gamma + gamma/(k+1),
+    k with b = gamma/(k+1) and another value with c = gamma (k-1)/(k+1);
+    input 1 swaps a and b.  The numbers A, B and C of reports of 0, of k
+    and of the rest are Trinomial(n-1; a, b, c) over the first n - 1 users,
+    and Q/P of the whole histogram is (A b/a + B a/b + C)/n over all n, so
+    delta(eps) = max(sum max(0, P - e^eps Q), the same with P and Q
+    swapped) over the grid of (A, B) equals the histogram's.  The audit
+    passes iff delta(budget.epsilon) <= budget.delta.
 
     It also reports the smallest eps with delta(eps) <= budget.delta: 0
     when delta(0) already meets it; infinite when the mass one side puts
@@ -238,14 +202,21 @@ def exact_audit(
     falls below that mass; otherwise found by bisection to within 1e-9,
     from above.
     """
-    alt_last = np.asarray(pair.alt_last, dtype=float)
-    if alt_last.shape != (params.d,):
-        raise ValueError(f"alt_last shape {alt_last.shape} must be (d,) = ({params.d},)")
-    data = np.asarray(pair.dataset, dtype=float)
-    alt = np.array(data)
-    alt[-1] = alt_last
-    p = outcome_distribution(data, params).ravel()
-    q = outcome_distribution(alt, params).ravel()
+    n, k, gamma = params.n, params.k, params.gamma
+    if params.t != 1:
+        raise ValueError("the exact audit requires t = 1")
+    if (n + 1) ** 2 > MAX_OUTCOMES:
+        raise ValueError(f"outcome space too large to enumerate ((n+1)^2 entries, n={n})")
+    a, b, c = 1.0 - gamma + gamma / (k + 1), gamma / (k + 1), gamma * (k - 1) / (k + 1)
+    rest = _trinomial(n - 1, (a, b, c))
+    tables = []  # P and Q built alike, so at gamma = 1 (a = b) they are equal
+    for zero, top in ((a, b), (b, a)):
+        table = np.zeros((n + 1, n + 1))
+        table[:n, :n] += c * rest
+        table[1:, :n] += zero * rest
+        table[:n, 1:] += top * rest
+        tables.append(table.ravel())
+    p, q = tables
 
     def delta_at(eps):
         scale = math.exp(eps)

@@ -1,7 +1,7 @@
 """Command-line front end: shufflesum <command> [flags].
 
 Commands: params (print calibration), run (single experiment),
-sweep (one-axis sweep), audit (exact tiny-instance privacy audit),
+sweep (one-axis sweep), audit (exact privacy audit, n <= 3161),
 ingest-check (validate a dataset file).  The flags, and the keys of a
 --config file, are ExperimentConfig's fields (`_` written as `-` in a
 flag); axis and values are for sweep only.
@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .audit import NeighborPair, exact_audit
+from .audit import exact_audit
 from .calibration import PrivacyBudget, compose_epsilon_prime
 from .exceptions import InfeasibleParametersError
 from .harness import (
@@ -151,10 +149,7 @@ def _cmd_audit(config):
     """Exact audit of the all-zeros dataset against a final user of ones;
     --trials and --seed are accepted and ignored, as by params."""
     params, budget, _mode = resolve_point(config)
-    pair = NeighborPair(
-        dataset=np.zeros((params.n, params.d)), alt_last=np.ones(params.d)
-    )
-    verdict = exact_audit(pair, params, budget)
+    verdict = exact_audit(params, budget)
     print(
         f"exact epsilon {verdict.exact_epsilon:.4f} vs "
         f"target {verdict.theoretical_epsilon:.4f}; "

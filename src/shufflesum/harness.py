@@ -159,7 +159,7 @@ def _read_cells(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            for i, row in enumerate(reader):
+            for row in reader:  # named by file line, as a quoted cell may span lines
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 parsed = []
@@ -168,10 +168,11 @@ def _read_cells(path) -> np.ndarray:
                         parsed.append(float(cell))
                     except ValueError:
                         raise ValueError(
-                            f"{path}: unparseable cell at row {i + 1}, column {j + 1}: {cell!r}"
+                            f"{path}: unparseable cell at row {reader.line_num}, "
+                            f"column {j + 1}: {cell!r}"
                         ) from None
                 rows.append(parsed)
-                line_numbers.append(i + 1)
+                line_numbers.append(reader.line_num)
         except csv.Error as exc:  # a cell over csv.field_size_limit(), say
             raise ValueError(f"{path}: unreadable CSV at line {reader.line_num}: {exc}") from None
     if not rows:
@@ -189,22 +190,37 @@ def _read_cells(path) -> np.ndarray:
     return matrix
 
 
+def _loadtxt_agrees(text: str) -> bool:
+    """Whether np.loadtxt reads text as `_read_cells` does: numpy strips
+    \\x1c-\\x1f around a number and reads a cell (so a \\n-separated line)
+    over csv.field_size_limit(), which float() and csv refuse."""
+    if any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+        return False
+    limit, start = csv.field_size_limit(), 0
+    while len(text) - start > limit:
+        end = text.rfind("\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
+
+
 def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> DatasetMatrix:
     """Read a CSV of real-valued rows into a [0, 1] matrix.
 
     drop_label removes the trailing column.  normalize="clamp" clips into
     [0, 1]; "minmax" rescales by the global min/max.  Unparseable and
     non-finite (nan, inf) cells are reported with their row/column position.
-    One np.loadtxt call parses the file; one that it rejects, or that holds
-    a non-finite cell, is read again by `_read_cells`.
+    One np.loadtxt call parses the file; one it rejects or would misread, or
+    that holds a non-finite cell, is read again by `_read_cells`.
     """
     if normalize not in CHOICES["normalize"]:
         raise ValueError(f"normalize must be one of {CHOICES['normalize']}, got {normalize!r}")
     with open(path, newline="") as fh, warnings.catch_warnings():
         warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
-        try:  # numpy strips \x1c-\x1f around a number, where float() refuses it
-            if any(map(fh.read().__contains__, "\x1c\x1d\x1e\x1f")):
-                raise ValueError("a separator \\x1c-\\x1f")
+        try:
+            if not _loadtxt_agrees(fh.read()):
+                raise ValueError("a text that only _read_cells reads right")
             fh.seek(0)  # a handle, as numpy imports gzip to open a path
             matrix = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)  # "#" is a cell
         except (ValueError, UserWarning):

@@ -13,7 +13,6 @@ import pytest
 
 from shufflesum import (
     ExperimentConfig,
-    NeighborPair,
     PrivacyBudget,
     ProtocolParams,
     bound_mse_general,
@@ -251,10 +250,9 @@ def test_criterion_09_tail_endpoint(request):
 def test_criterion_10_exact_audit(request):
     n, d, k = 10, 1, 1
     b = PrivacyBudget(0.99, 0.9)
-    pair = NeighborPair(dataset=np.zeros((n, d)), alt_last=np.ones(d))
 
     def audit(gamma, budget=b):
-        return exact_audit(pair, ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma), budget)
+        return exact_audit(ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma), budget)
 
     verdict = audit(calibrate_gamma_general(b, d, k, n, 1))
     control = audit(1.0, PrivacyBudget(0.99, 0.01))

@@ -1,8 +1,7 @@
 """Executable privacy analysis: exact tail events, Chernoff forms, and the
-exact hockey-stick audit."""
+exact hockey-stick audit, checked against the dense outcome table."""
 
 import math
-import re
 from dataclasses import replace
 
 import mpmath
@@ -11,7 +10,6 @@ import pytest
 
 from shufflesum import (
     InfeasibleParametersError,
-    NeighborPair,
     PrivacyBudget,
     ProtocolParams,
     TailParams,
@@ -20,11 +18,11 @@ from shufflesum import (
     compose_epsilon_prime,
     exact_audit,
     exact_tail_probability,
-    outcome_distribution,
     randomize_batch,
     tail_params_from_protocol,
 )
-from shufflesum.audit import _binomial_tail
+from shufflesum.audit import MAX_OUTCOMES, _binomial_tail
+from shufflesum.cli import main
 
 mpmath.mp.dps = 50
 
@@ -260,28 +258,17 @@ class TestMonteCarloAudit:
     the exact audit that replaced it: each verdict is now deterministic."""
 
     def _tiny(self, gamma, n=6, d=1, k=1):
-        params = ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma)
-        pair = NeighborPair(dataset=np.zeros((n, d)), alt_last=np.ones(d))
-        return params, pair
+        return ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma)
 
     def test_pure_blanket_passes(self):
-        params, pair = self._tiny(gamma=1.0)
-        verdict = exact_audit(pair, params, PrivacyBudget(0.5, 0.05))
+        verdict = exact_audit(self._tiny(gamma=1.0), PrivacyBudget(0.5, 0.05))
         assert verdict.passed
         assert verdict.exact_epsilon == 0.0 and verdict.exact_delta == 0.0
         assert verdict.theoretical_epsilon == 0.5
 
-    def test_identical_datasets_pass(self):
-        params, _ = self._tiny(gamma=0.5)
-        pair = NeighborPair(dataset=np.zeros((6, 1)), alt_last=np.zeros(1))
-        verdict = exact_audit(pair, params, PrivacyBudget(0.3, 0.05))
-        assert verdict.passed
-        assert verdict.exact_epsilon == 0.0 and verdict.exact_delta == 0.0
-
     def test_no_blanket_is_a_hard_failure(self):
         # gamma=0 on distinct neighbors: disjoint outcomes witness a violation
-        params, pair = self._tiny(gamma=0.0)
-        verdict = exact_audit(pair, params, PrivacyBudget(0.5, 0.05))
+        verdict = exact_audit(self._tiny(gamma=0.0), PrivacyBudget(0.5, 0.05))
         assert not verdict.passed
         assert verdict.exact_epsilon == math.inf
         assert verdict.exact_delta == 1.0
@@ -291,15 +278,13 @@ class TestMonteCarloAudit:
         gamma = calibrate_gamma_general(b, d=1, k=1, n=10, t=1)
         assert gamma < 1.0
         params = ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma)
-        pair = NeighborPair(dataset=np.zeros((10, 1)), alt_last=np.ones(1))
-        verdict = exact_audit(pair, params, b)
+        verdict = exact_audit(params, b)
         assert verdict.passed and verdict.exact_epsilon == 0.0
 
     def test_requires_t_equal_one(self):
         params = ProtocolParams(d=2, k=1, n=6, t=2, gamma=0.5)
-        pair = NeighborPair(dataset=np.zeros((6, 2)), alt_last=np.ones(2))
         with pytest.raises(ValueError):
-            exact_audit(pair, params, PrivacyBudget(0.5, 0.05))
+            exact_audit(params, PrivacyBudget(0.5, 0.05))
 
     def test_large_delta_gate_passes_gamma_within_budget(self):
         # At delta = 0.9 on this pair, gamma = 0.05, ten times below the
@@ -307,9 +292,8 @@ class TestMonteCarloAudit:
         # delta(0) is already below 0.9.  gamma = 0.01 (delta(0.99) = 0.94)
         # is a real violation and fails.
         b = PrivacyBudget(0.99, 0.9)
-        pair = NeighborPair(dataset=np.zeros((10, 1)), alt_last=np.ones(1))
         verdicts = [
-            exact_audit(pair, ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma), b)
+            exact_audit(ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma), b)
             for gamma in (0.05, 0.01)
         ]
         assert verdicts[0].passed and verdicts[0].exact_epsilon == 0.0
@@ -335,13 +319,76 @@ def binomial_pair_delta(n, gamma, eps):
     )
 
 
+def outcome_distribution(matrix, params: ProtocolParams) -> np.ndarray:
+    """Exact distribution of the shuffled t = 1 mechanism's output on
+    `matrix`: the histogram of received values over the d (k+1) cells,
+    cell coordinate (k+1) + value.
+
+    The last cell holds n minus the others, so the result is a dense float
+    array of shape (n+1,) * (d(k+1) - 1) indexed by the counts of the
+    first d(k+1) - 1 cells (entries whose counts sum past n are 0).  It is
+    built by convolving in one user at a time.  A user with input x at
+    coordinate j lands in cell j (k+1) + y with probability
+    ((1 - gamma) enc(y) + gamma / (k+1)) / d, where enc puts 1 - f on
+    floor(x k) and f on floor(x k) + 1, f = x k - floor(x k): the law of
+    `randomizer.respond` after a uniform coordinate draw.
+    """
+    if params.t != 1:
+        raise ValueError("outcome enumeration requires t = 1")
+    matrix = np.asarray(matrix, dtype=float)
+    n, d, k = params.n, params.d, params.k
+    if matrix.shape != (n, d):
+        raise ValueError(
+            f"dataset shape {matrix.shape} does not match params (n={n}, d={d})"
+        )
+    if not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+        raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
+    free = d * (k + 1) - 1
+    if (n + 1) ** free > MAX_OUTCOMES:
+        raise ValueError(
+            f"outcome space too large to enumerate ((n+1)^{free} entries, n={n})"
+        )
+    levels = np.arange(k + 1)
+    scaled = matrix[:, :, None] * k
+    base = np.floor(scaled)
+    enc = np.where(levels == base, 1.0 - (scaled - base), 0.0)
+    enc += np.where(levels == base + 1, scaled - base, 0.0)
+    gamma = params.gamma
+    cell_probs = ((1.0 - gamma) * enc + gamma / (k + 1)).reshape(n, -1) / d
+    dist = np.zeros((n + 1,) * free)
+    dist[(0,) * free] = 1.0
+    # a count of n is unreachable before the last user joins, so the
+    # wrap-around of each one-cell shift only moves zeros
+    for probs in cell_probs:
+        dist = probs[-1] * dist + sum(
+            probs[cell] * np.roll(dist, 1, axis=cell) for cell in range(free)
+        )
+    return dist
+
+
+def dense_pair(params):
+    """The dense oracle's flattened P and Q for the audited pair: all-zero
+    users against the same users with a final user of ones."""
+    zeros = np.zeros((params.n, params.d))
+    ones_last = zeros.copy()
+    ones_last[-1] = 1.0
+    return (
+        outcome_distribution(zeros, params).ravel(),
+        outcome_distribution(ones_last, params).ravel(),
+    )
+
+
+def hockey_stick(p, q, eps):
+    w = math.exp(eps)
+    return max(float(np.maximum(p - w * q, 0.0).sum()), float(np.maximum(q - w * p, 0.0).sum()))
+
+
 class TestExactAudit:
-    PAIR = NeighborPair(dataset=np.zeros((10, 1)), alt_last=np.ones(1))
     BUDGET = PrivacyBudget(0.99, 0.9)
 
     def _verdict(self, gamma):
         params = ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma)
-        return exact_audit(self.PAIR, params, self.BUDGET)
+        return exact_audit(params, self.BUDGET)
 
     def test_delta_matches_binomial_oracle(self):
         calibrated = calibrate_gamma_general(self.BUDGET, d=1, k=1, n=10, t=1)
@@ -356,14 +403,70 @@ class TestExactAudit:
         assert binomial_pair_delta(10, 0.01, eps) <= 0.9
         assert binomial_pair_delta(10, 0.01, eps - 1e-6) > 0.9
 
-    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
-    def test_rejects_alt_last_not_of_shape_d(self, shape):
-        # a scalar or (1,) input would broadcast over all d coordinates and
-        # audit a different pair
-        params = ProtocolParams(d=2, k=1, n=3, t=1, gamma=0.5)
-        pair = NeighborPair(dataset=np.zeros((3, 2)), alt_last=np.ones(shape))
-        with pytest.raises(ValueError, match=re.escape(f"alt_last shape {shape}")):
-            exact_audit(pair, params, self.BUDGET)
+    @pytest.mark.parametrize("eps", [1e-12, 0.3, 0.99])  # a budget needs eps > 0
+    @pytest.mark.parametrize(
+        "n, d, k, gamma",
+        [
+            (10, 1, 1, 0.05),
+            (10, 1, 1, 0.01),
+            (6, 1, 2, 0.3),
+            (5, 2, 2, 0.4),
+            (8, 1, 3, 0.2),
+            (10, 1, 1, 0.5341),  # near the calibrated gamma of criterion 10
+            (10, 1, 1, 0.0),
+            (10, 1, 1, 1.0),
+            (9, 1, 4, 0.5),
+        ],
+    )
+    def test_matches_the_dense_outcome_table(self, n, d, k, gamma, eps):
+        # exact_epsilon, found by bisection to 1e-9, is checked against the
+        # oracle's delta on either side of it
+        params = ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma)
+        budget = PrivacyBudget(eps, 0.1)
+        p, q = dense_pair(params)
+        verdict = exact_audit(params, budget)
+        assert verdict.exact_delta == pytest.approx(hockey_stick(p, q, eps), rel=1e-12, abs=0.0)
+        found = verdict.exact_epsilon
+        if found == math.inf:
+            assert max(p[q == 0].sum(), q[p == 0].sum()) > budget.delta
+        else:
+            assert hockey_stick(p, q, found) <= budget.delta * (1 + 1e-12)
+            assert found == 0.0 or hockey_stick(p, q, found - 1e-9) > budget.delta
+        if gamma == 0.0:
+            assert found == math.inf and verdict.exact_delta == 1.0
+        if gamma == 1.0:
+            assert found == 0.0 and verdict.exact_delta == 0.0
+
+    @pytest.mark.parametrize("gamma, eps", [(0.05, 0.05), (0.2, 0.1), (0.3, 0.3)])
+    def test_k1_beyond_the_dense_guard_matches_binomial_oracle(self, gamma, eps):
+        # d drops out of the pair's law, so n = 500, d = 100 is the binomial pair
+        params = ProtocolParams(d=100, k=1, n=500, t=1, gamma=gamma)
+        got = exact_audit(params, PrivacyBudget(eps, 0.1)).exact_delta
+        assert got == pytest.approx(binomial_pair_delta(500, gamma, eps), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.2, 0.6])
+    def test_verdict_does_not_depend_on_d(self, gamma):
+        budget = PrivacyBudget(0.5, 0.05)
+        one, many = (
+            exact_audit(ProtocolParams(d=d, k=3, n=40, t=1, gamma=gamma), budget)
+            for d in (1, 100)
+        )
+        assert one == many
+
+    def test_outcome_space_guard(self):
+        # the (A, B) table has (n+1)^2 entries, at most 10^7, for any d and k
+        assert (3161 + 1) ** 2 <= MAX_OUTCOMES < (3162 + 1) ** 2
+        params = ProtocolParams(d=1, k=1, n=3162, t=1, gamma=0.5)
+        with pytest.raises(ValueError, match=r"too large .*n=3162\)"):
+            exact_audit(params, self.BUDGET)
+
+    def test_cli_outcome_space_guard_is_one_error_line(self, capsys):
+        argv = ["audit", "--n", "5000", "--d", "100", "--k", "3", "--gamma", "0.5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "n=5000" in captured.err
 
 
 class TestOutcomeDistribution:

@@ -130,6 +130,30 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="non-finite cell at row 4, column 2"):
             ingest_csv(p)
 
+    def test_rows_named_by_file_line_after_a_quoted_line_break(self, tmp_path):
+        # the quoted cell spans lines 1 and 2, so the second record is line 3
+        p = tmp_path / "quoted.csv"
+        p.write_text('"0.1\n",0.2\n0.3,x\n', newline="")
+        with pytest.raises(ValueError, match="row 3, column 2"):
+            ingest_csv(p)
+        p.write_text('"0.1\n",0.2\n0.3,nan\n', newline="")
+        with pytest.raises(ValueError, match="non-finite cell at row 3, column 2"):
+            ingest_csv(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0.1,0." + "1" * 140_000 + "\n",  # one cell over csv.field_size_limit()
+            "0.2\n" + ",".join(["0.5"] * 40_000) + "\n",  # a long line of short cells
+            ",".join(["0.5"] * 40_000),  # the same, unterminated
+        ],
+        ids=["long-cell", "long-line", "long-last-line"],
+    )
+    def test_lines_over_the_csv_field_limit_read_the_same_by_both_paths(self, tmp_path, text):
+        p = tmp_path / "long.csv"
+        p.write_text(text)
+        assert _ingest_outcome(p) == _ingest_outcome(p, slow=True)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
