@@ -111,8 +111,8 @@ def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> BoundReport:
 def fit_power_law(xs, ys):
     """Least-squares fit of log y on log x.
 
-    Returns (exponent, r_squared).  Requires at least 3 strictly positive
-    points and non-constant xs.
+    Returns (exponent, r_squared, amplitude), with y ~ amplitude x^exponent.
+    Requires at least 3 strictly positive points and non-constant xs.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -129,4 +129,4 @@ def fit_power_law(xs, ys):
     resid = ly - (slope * lx + intercept)
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float((resid**2).sum()) / ss_tot
-    return float(slope), r_squared
+    return float(slope), r_squared, float(np.exp(intercept))

@@ -216,13 +216,15 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
         table[1:, :n] += zero * rest
         table[:n, 1:] += top * rest
         tables.append(table.ravel())
-    p, q = tables
+    reach = (tables[0] > 0) | (tables[1] > 0)
+    p, q = tables[0][reach], tables[1][reach]
+    with np.errstate(divide="ignore"):  # log 0: one side's mass alone
+        loss = np.log(p) - np.log(q)  # finite even where P / Q overflows
 
-    def delta_at(eps):
-        scale = math.exp(eps)
-        return max(
-            float(np.maximum(p - scale * q, 0.0).sum()),
-            float(np.maximum(q - scale * p, 0.0).sum()),
+    def delta_at(eps):  # sum P max(0, 1 - e^(eps - loss)), and mirrored
+        return 0.0 - min(  # 0.0, not -0.0, where P = Q
+            float((p * np.expm1(np.minimum(eps - loss, 0.0))).sum()),
+            float((q * np.expm1(np.minimum(eps + loss, 0.0))).sum()),
         )
 
     if delta_at(0.0) <= budget.delta:
@@ -230,10 +232,9 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
     elif max(p[q == 0].sum(), q[p == 0].sum()) > budget.delta:
         epsilon = math.inf
     else:
-        # at the largest |ln P/Q| on the common support, delta is only the
-        # one-sided mass, which meets the target (checked above)
-        both = (p > 0) & (q > 0)
-        lo, hi = 0.0, float(np.abs(np.log(p[both] / q[both])).max())
+        # at the largest finite |loss|, delta is only the one-sided mass,
+        # which meets the target (checked above)
+        lo, hi = 0.0, float(np.abs(loss[np.isfinite(loss)]).max())
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
             if delta_at(mid) <= budget.delta:

@@ -248,19 +248,14 @@ def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> Data
 
 
 def fit_matrix(matrix, n: int, d: int) -> np.ndarray:
-    """Adapt a raw matrix to (n, d): rows are truncated or recycled
-    cyclically, columns truncated or zero-padded.
-
-    `run_sweep` asks for only min(rows, n) rows: `run_trial` gives user i
-    row i % rows of that table, so no (n, d) matrix is built."""
+    """The first n rows (all of them if fewer) of a 2-D raw matrix, columns
+    truncated or zero-padded to d: `run_trial` gives user i row i % rows
+    of this table, so no (n, d) matrix is built."""
     matrix = np.asarray(matrix, dtype=float)
-    rows, cols = matrix.shape
-    out = matrix[np.arange(n) % rows]
-    if cols >= d:
-        return np.ascontiguousarray(out[:, :d])
-    padded = np.zeros((n, d))
-    padded[:, :cols] = out
-    return padded
+    rows, cols = matrix.shape  # ValueError unless 2-D
+    out = np.zeros((min(rows, n), d))
+    out[:, : min(cols, d)] = matrix[:n, :d]
+    return out
 
 
 def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
@@ -275,20 +270,15 @@ def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialR
 
     `table` is (rows, d) with 1 <= rows <= n, and user i holds row
     i % rows, so an (n, d) matrix gives each user its own row.  Blocks of
-    users (`randomizer._randomize_rows`) add up their true sums and exact
-    integer totals and counts: memory is O(block + rows + d) at any n.
+    users (`randomizer._randomize_rows`, which checks the table) add up
+    their true sums and exact integer totals and counts: memory is
+    O(block + rows + d) at any n.
 
     The shuffler's permutation is skipped, since it cannot change the
     result: the analyzer sums integer values in float64, which is exact
     while every sum stays below 2^53 (n k < 2^53 suffices), so its output
     is bitwise the same for every row order.
     """
-    table = np.ascontiguousarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[1] != params.d or not 0 < len(table) <= params.n:
-        raise ValueError(
-            f"table shape {table.shape} must be (rows, d={params.d}) "
-            f"with 1 <= rows <= n={params.n}"
-        )
     truth = totals = counts = 0
     for coords, sampled, values in _randomize_rows(table, params, rng):
         truth = truth + np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
@@ -324,14 +314,6 @@ def resolve_point(config: ExperimentConfig, value=None):
         raise InfeasibleParametersError(f"gamma = {gamma:.6g} leaves no truthful signal")
     params = ProtocolParams(d=pc.d, k=k, n=pc.n, t=pc.t, gamma=gamma)
     return params, budget, mode
-
-
-def _point_bound(params: ProtocolParams, budget: PrivacyBudget, mode: str) -> float:
-    """The accuracy bound of the analysis gamma came from: the tightened
-    t = 1 bound only for the t1 calibration, the general bound otherwise
-    (manual mode included)."""
-    bound = bound_mse_t1 if mode == "t1" else bound_mse_general
-    return bound(params, budget).mse_bound
 
 
 def _summary_row(label, status: str, **fields) -> dict:
@@ -379,8 +361,10 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
             result.summary.append(_summary_row(label, "skipped", trials=0, reason=str(point)))
             continue
         params, budget, mode = point
-        bound = _point_bound(params, budget, mode)
-        table = fit_matrix(matrix, min(len(matrix), params.n), params.d)
+        # the bound of the analysis gamma came from: the tightened t = 1 one
+        # only under the t1 calibration, the general one otherwise (manual too)
+        bound = (bound_mse_t1 if mode == "t1" else bound_mse_general)(params, budget).mse_bound
+        table = fit_matrix(matrix, params.n, params.d)
         mses = []
         for ti in range(config.trials):
             seed = trial_seed(config.seed, pi, ti)
@@ -416,11 +400,10 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
             fit_y.append(mean)
     if not any(s["status"] == "ok" for s in result.summary):
         raise InfeasibleParametersError("no feasible sweep points")
-    if len(fit_x) >= 3:
-        slope, r2 = fit_power_law(fit_x, fit_y)
-        result.exponent, result.r_squared = slope, r2
-        logs = np.log(fit_y) - slope * np.log(fit_x)
-        result.amplitude = float(np.exp(logs.mean()))
+    try:  # fewer than 3 points, constant xs or a zero mean MSE leave no fit
+        result.exponent, result.r_squared, result.amplitude = fit_power_law(fit_x, fit_y)
+    except ValueError:
+        pass
     return result
 
 

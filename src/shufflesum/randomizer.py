@@ -71,13 +71,11 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     `run_trial`'s blocks, joined, so both make the same draws; at t = 1 a
     block of m users' coordinates is exactly rng.integers(0, d, size=m).
     """
-    matrix = np.ascontiguousarray(matrix, dtype=float)
-    n, d = matrix.shape
-    if n != params.n or d != params.d:
+    if np.shape(matrix) != (params.n, params.d):
         raise ValueError(
-            f"dataset shape {matrix.shape} does not match params (n={params.n}, d={params.d})"
+            f"dataset shape {np.shape(matrix)} does not match params (n={params.n}, d={params.d})"
         )
-    coords = np.empty((n, params.t), dtype=np.int64)
+    coords = np.empty((params.n, params.t), dtype=np.int64)
     values = np.empty_like(coords)
     start = 0
     for c, _, v in _randomize_rows(matrix, params, rng):
@@ -86,13 +84,19 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     return coords, values
 
 
-def _randomize_rows(table: np.ndarray, params: ProtocolParams, rng: np.random.Generator):
+def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
     """Sample, gather and respond for params.n users, user i holding row
-    i % rows of a C-contiguous float (rows, d) table (unchecked), in blocks
-    of max(1, BLOCK_ENTRIES // t) users: yields (coords, sampled, values),
-    each (m, t), views into one buffer that the next block overwrites.  As
-    the largest allocation, the buffer lifts glibc's trim threshold once
-    freed, so the heap keeps a trial's pages for the next one."""
+    i % rows of a (rows, d) table, 1 <= rows <= n (else ValueError), in
+    blocks of max(1, BLOCK_ENTRIES // t) users: yields (coords, sampled,
+    values), each (m, t), views into one buffer that the next block
+    overwrites.  As the largest allocation, the buffer lifts glibc's trim
+    threshold once freed, so the heap keeps a trial's pages for the next one."""
+    table = np.ascontiguousarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != params.d or not 0 < len(table) <= params.n:
+        raise ValueError(
+            f"table shape {table.shape} must be (rows, d={params.d}) "
+            f"with 1 <= rows <= n={params.n}"
+        )
     rows, d = table.shape
     size = min(max(1, BLOCK_ENTRIES // params.t), params.n)
     # coords, sampled, then respond's three; its last first holds the index

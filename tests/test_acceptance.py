@@ -197,7 +197,7 @@ def test_criterion_08_bound_dominance(request, dataset):
         bound = (
             bound_mse_t1(params, b) if params.t == 1 else bound_mse_general(params, b)
         ).mse_bound
-        data = fit_matrix(dataset, params.n, params.d)
+        data = np.resize(fit_matrix(dataset, params.n, params.d), (params.n, params.d))
         mses = []
         for ti in range(5):
             trial_rng = np.random.default_rng(

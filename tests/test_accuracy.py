@@ -8,6 +8,7 @@ import pytest
 
 from shufflesum import (
     EstimateVector,
+    InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
     analyze_arrays,
@@ -83,6 +84,12 @@ class TestEmpiricalMse:
 
 def _params(d=100, k=3, n=50000, t=1, gamma=0.2):
     return ProtocolParams(d=d, k=k, n=n, t=t, gamma=gamma)
+
+
+@pytest.mark.parametrize("bound", [bound_mse_general, bound_mse_t1])
+def test_bounds_reject_gamma_one(bound):
+    with pytest.raises(InfeasibleParametersError, match="bounds undefined for gamma >= 1"):
+        bound(_params(gamma=1.0), PrivacyBudget(0.95, 0.5))
 
 
 class TestBoundMseGeneral:
@@ -285,22 +292,31 @@ class TestEmpiricalBelowBound:
 class TestFitPowerLaw:
     def test_exact_square(self):
         xs = np.array([1.0, 2.0, 4.0, 8.0])
-        slope, r2 = fit_power_law(xs, 3 * xs**2)
+        slope, r2, _ = fit_power_law(xs, 3 * xs**2)
         assert slope == pytest.approx(2.0, rel=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_inverse(self):
         xs = np.array([1.0, 3.0, 9.0])
-        slope, _ = fit_power_law(xs, 5 / xs)
+        slope, _, _ = fit_power_law(xs, 5 / xs)
         assert slope == pytest.approx(-1.0, rel=1e-12)
 
     def test_noisy_eight_thirds(self):
         rng = np.random.default_rng(4)
         xs = np.geomspace(10, 1000, 12)
         ys = xs ** (8 / 3) * (1 + rng.uniform(-0.05, 0.05, 12))
-        slope, r2 = fit_power_law(xs, ys)
+        slope, r2, _ = fit_power_law(xs, ys)
         assert 2.5 <= slope <= 2.8
         assert r2 > 0.99
+
+    def test_amplitude_is_the_fitted_prefactor(self):
+        xs = np.array([1.0, 2.0, 4.0, 8.0])
+        _, _, amplitude = fit_power_law(xs, 3 * xs**2)
+        assert amplitude == pytest.approx(3.0, rel=1e-12)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):

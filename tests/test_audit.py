@@ -2,6 +2,7 @@
 exact hockey-stick audit, checked against the dense outcome table."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -186,8 +187,21 @@ class TestExactTailProbability:
         with pytest.raises(ValueError):
             exact_tail_probability(tp, 1.5, 1)
 
+    @pytest.mark.parametrize("cut, upper", [(10_000, True), (0, False)])
+    def test_tail_beyond_float_range_is_zero(self, cut, upper):
+        # log pmf(cut) = 10^4 log 0.5 < -750: the walk out from the mode
+        # stops early, as exp of it is 0.0 in float64 anyway
+        assert 10_000 * math.log(0.5) < -750.0
+        assert _binomial_tail(10_000, 0.5, cut, upper) == 0.0
+
 
 class TestChernoffUpperBound:
+    @pytest.mark.parametrize("eps_prime", [0.0, -0.5, 6.0, 7.5])
+    def test_eps_prime_outside_its_range_raises(self, eps_prime):
+        tp = TailParams(s=100, c=1e6, eps_prime=eps_prime, t=1, delta=0.1)
+        with pytest.raises(ValueError, match=r"eps_prime must be in \(0, 6\)"):
+            chernoff_upper_bound(tp)
+
     def test_precondition_enforced(self):
         tp = TailParams(s=100, c=1.0, eps_prime=0.5, t=1, delta=0.1)
         with pytest.raises(InfeasibleParametersError):
@@ -452,6 +466,26 @@ class TestExactAudit:
             for d in (1, 100)
         )
         assert one == many
+
+    @pytest.mark.parametrize("gamma", [1e-310, 1e-320])
+    def test_subnormal_gamma_gives_a_verdict_without_warnings(self, gamma):
+        # P / Q overflows there; the audit works with log P - log Q
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = self._verdict(gamma)
+        assert math.isfinite(verdict.exact_epsilon) and verdict.exact_epsilon > 700
+        assert verdict.exact_delta == 1.0 and not verdict.passed
+
+    def test_equal_tables_give_positive_zero_delta(self):
+        # at gamma = 1 every report is uniform, so P = Q and delta is 0.0
+        verdict = self._verdict(1.0)
+        assert verdict.exact_epsilon == 0.0
+        assert math.copysign(1.0, verdict.exact_delta) == 1.0 and verdict.exact_delta == 0.0
+
+    def test_epsilon_does_not_fall_as_gamma_falls(self):
+        # less blanket, more leakage, down into subnormal gammas
+        found = [self._verdict(g).exact_epsilon for g in (1e-300, 1e-306, 1e-310, 1e-320)]
+        assert found == sorted(found)
 
     def test_outcome_space_guard(self):
         # the (A, B) table has (n+1)^2 entries, at most 10^7, for any d and k

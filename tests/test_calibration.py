@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflesum import (
+    ExperimentConfig,
     InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
@@ -18,6 +19,7 @@ from shufflesum import (
     choose_k_general,
     choose_k_t1,
     compose_epsilon_prime,
+    resolve_point,
 )
 
 mpmath.mp.dps = 50
@@ -354,6 +356,15 @@ class TestChooseK:
         assert objective(k) <= objective(k + 1) + 1e-15
         if k > 1:
             assert objective(k) <= objective(k - 1) + 1e-15
+
+    def test_general_at_delta_one_is_infeasible(self):
+        # log(1/delta) = 0 leaves no blanket cost to trade against; a d
+        # sweep at t = 2 reaches it through resolve_point
+        with pytest.raises(InfeasibleParametersError, match="delta = 1 gives a degenerate"):
+            choose_k_general(PrivacyBudget(0.95, 1.0), d=50, n=50000, t=2)
+        cfg = ExperimentConfig(t=2, delta=1.0, axis="d", values=(50,))
+        with pytest.raises(InfeasibleParametersError, match="delta = 1 gives a degenerate"):
+            resolve_point(cfg, 50)
 
     def test_t1_reference_point(self):
         assert choose_k_t1(PrivacyBudget(0.95, 0.5), d=100, n=50000) == 2

@@ -213,14 +213,20 @@ class TestIngestCsv:
 
 
 class TestFitMatrix:
-    def test_row_recycling_and_column_padding(self):
+    def test_rows_capped_at_n_and_column_padding(self):
+        # n = 5 users of a 2-row table: run_trial cycles the rows itself,
+        # as np.resize does for a dense (n, d) reference
         m = np.arange(6.0).reshape(2, 3)
         out = fit_matrix(m, 5, 5)
-        assert out.shape == (5, 5)
-        assert np.array_equal(out[0, :3], m[0])
-        assert np.array_equal(out[1, :3], m[1])
-        assert np.array_equal(out[2, :3], m[0])  # cyclic
+        assert out.shape == (2, 5) and out.flags.c_contiguous
+        assert np.array_equal(out[:, :3], m)
         assert np.all(out[:, 3:] == 0.0)  # zero-padded
+        assert np.array_equal(np.resize(out, (5, 5)), out[np.arange(5) % 2])
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)])
+    def test_rejects_a_matrix_that_is_not_2d(self, shape):
+        with pytest.raises(ValueError):
+            fit_matrix(np.zeros(shape), 5, 5)
 
     def test_truncation(self):
         m = np.arange(12.0).reshape(3, 4)
@@ -362,7 +368,7 @@ class TestRunTrial:
         # before analyzing all give bitwise the same result
         raw = np.random.default_rng(4).random((7, 6))
         params = ProtocolParams(d=d, k=2, n=50, t=t, gamma=0.3)
-        dense = fit_matrix(raw, params.n, d)
+        dense = np.resize(fit_matrix(raw, 7, d), (params.n, d))
         for seed in range(5):
             rng = np.random.default_rng(seed)
             coords, values = randomize_batch(dense, params, rng)
@@ -392,7 +398,7 @@ class TestRunTrial:
         monkeypatch.setattr(harness, "_debias", spy)
         raw = np.random.default_rng(4).random((7, 6))
         params = ProtocolParams(d=6, k=2, n=50, t=t, gamma=0.3)
-        dense = fit_matrix(raw, params.n, params.d)
+        dense = np.resize(raw, (params.n, params.d))
         for seed in range(3):
             rng = np.random.default_rng(seed)
             coords, values = randomize_batch(dense, params, rng)
@@ -578,6 +584,10 @@ class TestRunSweep:
         with pytest.warns(UserWarning, match="1/n = 2.5e-06") as record:
             run_sweep(cfg, matrix=small_matrix)
         assert len(record) == 1
+
+    def test_needs_a_matrix_or_a_dataset(self):
+        with pytest.raises(ValueError, match="no dataset: pass a matrix or set config.dataset"):
+            run_sweep(_small_sweep_config())
 
     def test_all_points_infeasible_raises(self, small_matrix):
         cfg = _small_sweep_config(values=(0.01, 0.02))
@@ -798,6 +808,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "800 rows x 187 columns" in out
 
+    def test_ingest_check_needs_a_dataset(self, capsys):
+        assert main(["ingest-check"]) == 1
+        assert capsys.readouterr().err == "error: ingest-check requires --dataset\n"
+
     def test_ingest_check_oversized_cell_is_one_error_line(self, tmp_path, capsys):
         # a cell over the csv module's field limit raises csv.Error, which is
         # no ValueError: unless re-raised as one, main prints a traceback
@@ -828,6 +842,50 @@ class TestCli:
         assert (out_dir / "summary.csv").exists()
         header = (out_dir / "long.csv").read_text().splitlines()[0]
         assert header == "axis,value,trial,seed,total_sq_err,normalized_mse,bound_mse"
+
+    def test_sweep_prints_skipped_point_and_fitted_exponent(self, tmp_path, capsys):
+        data = tmp_path / "half.csv"
+        data.write_text("0.5,0.25\n0.75,0.5\n")
+        argv = [
+            "sweep", "--dataset", str(data), "--d", "5", "--k", "2", "--n", "2000",
+            "--eps", "0.6", "--axis", "eps", "--values", "0.05,0.6,0.9,1.2", "--trials", "1",
+        ]
+        with pytest.warns(UserWarning):  # delta >= 1/n
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "eps=0.05 skipped: t=1 calibration: required blanket probability" in out
+        assert re.search(r"^fitted exponent: -?\d+\.\d{4} \(r\^2 \d\.\d{4}\)$", out, re.M)
+
+    @pytest.mark.parametrize(
+        "flags, rows",
+        [
+            # constant xs: every point at the same eps
+            (["--axis", "eps", "--values", "0.5,0.5,0.5", "--drop-label"], None),
+            # a mean MSE of 0: all-zero users and no blanket
+            (["--axis", "d", "--values", "2,3,4", "--n", "100", "--gamma", "0"], "0,0\n0,0\n"),
+        ],
+        ids=["constant-xs", "zero-mse"],
+    )
+    def test_sweep_without_a_fit_keeps_its_trials(
+        self, signal_csv, tmp_path, capsys, flags, rows
+    ):
+        data = signal_csv
+        if rows is not None:
+            data = tmp_path / "zeros.csv"
+            data.write_text(rows)
+        out_dir = tmp_path / "out"
+        argv = ["sweep", *flags, "--dataset", str(data), "--trials", "2", "--out-dir", str(out_dir)]
+        with pytest.warns(UserWarning):  # delta >= 1/n
+            assert main(argv) == 0
+        assert "fitted exponent" not in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.iterdir()) == ["long.csv", "summary.csv"]
+        assert len((out_dir / "long.csv").read_text().splitlines()) == 1 + 3 * 2
+
+    def test_config_line_without_equals_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("d=5\nverbose\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: expected key=value, got 'verbose'" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, signal_csv, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
