@@ -13,7 +13,6 @@ from .accuracy import (
 from .aggregation import (
     EstimateVector,
     analyze_arrays,
-    estimate_average,
     shuffle,
 )
 from .audit import (

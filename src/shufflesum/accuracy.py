@@ -25,7 +25,6 @@ class TrialResult:
 
     total_squared_error: float
     normalized_mse: float
-    per_coordinate_errors: np.ndarray  # squared errors, length d
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,10 @@ def empirical_mse(
         raise ValueError(
             f"truth shape {truth.shape} does not match estimates {estimates.values.shape}"
         )
-    sq = (estimates.values - truth) ** 2
-    total = float(sq.sum())
+    total = float(((estimates.values - truth) ** 2).sum())
     return TrialResult(
         total_squared_error=total,
         normalized_mse=total * (params.d / params.n) ** 2,
-        per_coordinate_errors=sq,
     )
 
 

@@ -91,14 +91,3 @@ def analyze_arrays(coords, values, params: ProtocolParams) -> EstimateVector:
     """The analyzer: `_tally` (the one validator), then `_debias`."""
     return _debias(*_tally(coords, values, params), params)
 
-
-def estimate_average(est: EstimateVector, params: ProtocolParams) -> np.ndarray:
-    """Per-coordinate population-mean estimates: value / count.
-
-    Coordinates with no received submissions are flagged missing as NaN
-    rather than imputed (0 would be biased).
-    """
-    out = np.full(params.d, np.nan)
-    received = est.counts > 0
-    out[received] = est.values[received] / est.counts[received]
-    return out

@@ -54,7 +54,6 @@ class AuditVerdict:
 
     exact_epsilon: float
     exact_delta: float
-    theoretical_epsilon: float
     passed: bool
 
 
@@ -246,6 +245,5 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
     return AuditVerdict(
         exact_epsilon=epsilon,
         exact_delta=delta,
-        theoretical_epsilon=budget.epsilon,
         passed=delta <= budget.delta,
     )

@@ -30,8 +30,8 @@ class PrivacyBudget:
             raise ValueError(
                 f"epsilon must be in (0, {EPSILON_MAX}), got {self.epsilon}"
             )
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
     @property
     def high_regime(self) -> bool:
@@ -64,7 +64,6 @@ class ComposedBudget:
 
     epsilon_prime: float
     delta_prime: float
-    r: int
 
 
 def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> ComposedBudget:
@@ -79,14 +78,9 @@ def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> ComposedBudget:
     log_term = math.log(1.0 / budget.delta)
     scale = 12.0 if budget.high_regime else 2.0
     denom = scale * math.sqrt(2.0 * r * log_term)
-    if denom == 0.0:
-        raise InfeasibleParametersError(
-            "delta = 1 gives ln(1/delta) = 0: per-fold budget undefined"
-        )
     return ComposedBudget(
         epsilon_prime=budget.epsilon / denom,
         delta_prime=budget.delta / r,
-        r=r,
     )
 
 
@@ -179,10 +173,6 @@ def choose_k_general(budget: PrivacyBudget, d: int, n: int, t: int) -> int:
     _check_dims(d, n, t)
     a_eps = 1008.0 if budget.high_regime else 28.0
     log1d = math.log(1.0 / budget.delta)
-    if log1d == 0.0:
-        raise InfeasibleParametersError(
-            "delta = 1 gives a degenerate quantization objective"
-        )
     cost = (
         a_eps * d * log1d * math.log(2.0 * t / budget.delta)
         / ((n - 1) * budget.epsilon**2)

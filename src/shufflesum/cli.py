@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .audit import exact_audit
-from .calibration import PrivacyBudget, compose_epsilon_prime
+from .calibration import compose_epsilon_prime
 from .exceptions import InfeasibleParametersError
 from .harness import (
     CHOICES,
@@ -152,7 +152,7 @@ def _cmd_audit(config):
     verdict = exact_audit(params, budget)
     print(
         f"exact epsilon {verdict.exact_epsilon:.4f} vs "
-        f"target {verdict.theoretical_epsilon:.4f}; "
+        f"target {budget.epsilon:.4f}; "
         f"delta({budget.epsilon:g}) {verdict.exact_delta:.4g} vs "
         f"target {budget.delta:g}: {'PASS' if verdict.passed else 'FAIL'}"
     )

@@ -144,7 +144,6 @@ class DatasetMatrix:
 
 @dataclass
 class SweepResult:
-    config: ExperimentConfig
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
     exponent: float | None = None
@@ -353,7 +352,7 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
             resolved.append(resolve_point(config, value))
         except InfeasibleParametersError as exc:
             resolved.append(exc)
-    result = SweepResult(config=config)
+    result = SweepResult()
     fit_x, fit_y = [], []
     for pi, (value, point) in enumerate(zip(points, resolved)):
         label = {"axis": config.axis or "none", "value": "" if value is None else value}

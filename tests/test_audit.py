@@ -278,7 +278,6 @@ class TestMonteCarloAudit:
         verdict = exact_audit(self._tiny(gamma=1.0), PrivacyBudget(0.5, 0.05))
         assert verdict.passed
         assert verdict.exact_epsilon == 0.0 and verdict.exact_delta == 0.0
-        assert verdict.theoretical_epsilon == 0.5
 
     def test_no_blanket_is_a_hard_failure(self):
         # gamma=0 on distinct neighbors: disjoint outcomes witness a violation

@@ -21,6 +21,7 @@ from shufflesum import (
     compose_epsilon_prime,
     resolve_point,
 )
+from shufflesum.cli import main
 
 mpmath.mp.dps = 50
 
@@ -37,7 +38,7 @@ class TestPrivacyBudget:
                 PrivacyBudget(eps, 0.1)
 
     def test_rejects_delta_out_of_range(self):
-        for delta in (0.0, -0.5, 1.5):
+        for delta in (0.0, -0.5, 1.0, 1.5):
             with pytest.raises(ValueError):
                 PrivacyBudget(0.5, delta)
 
@@ -88,7 +89,6 @@ class TestComposeEpsilonPrime:
         c = compose_epsilon_prime(PrivacyBudget(0.8, 0.01), 4)
         assert c.epsilon_prime == pytest.approx(0.06590102289822608, rel=1e-12)
         assert c.delta_prime == pytest.approx(0.0025, rel=1e-12)
-        assert c.r == 4
         oracle = mp_eps_prime(0.8, 0.01, 4, high=False)
         assert c.epsilon_prime == pytest.approx(float(oracle), rel=1e-12)
 
@@ -115,8 +115,9 @@ class TestComposeEpsilonPrime:
             compose_epsilon_prime(PrivacyBudget(0.5, 0.1), 0)
 
     def test_delta_one_is_degenerate(self):
-        with pytest.raises(InfeasibleParametersError):
-            compose_epsilon_prime(PrivacyBudget(0.5, 1.0), 3)
+        # ln(1/delta) = 0 would leave no per-fold budget: delta = 1 is refused
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\), got 1.0"):
+            PrivacyBudget(0.5, 1.0)
 
     @given(
         eps=st.floats(0.05, 5.9),
@@ -357,14 +358,17 @@ class TestChooseK:
         if k > 1:
             assert objective(k) <= objective(k - 1) + 1e-15
 
-    def test_general_at_delta_one_is_infeasible(self):
-        # log(1/delta) = 0 leaves no blanket cost to trade against; a d
-        # sweep at t = 2 reaches it through resolve_point
-        with pytest.raises(InfeasibleParametersError, match="delta = 1 gives a degenerate"):
-            choose_k_general(PrivacyBudget(0.95, 1.0), d=50, n=50000, t=2)
+    def test_general_at_delta_one_is_infeasible(self, signal_csv, capsys):
+        # log(1/delta) = 0 would give gamma = 0 and a bound of 0; a d sweep
+        # and a single run both refuse it as a usage error
         cfg = ExperimentConfig(t=2, delta=1.0, axis="d", values=(50,))
-        with pytest.raises(InfeasibleParametersError, match="delta = 1 gives a degenerate"):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
             resolve_point(cfg, 50)
+        argv = ["run", "--t", "2", "--delta", "1", "--n", "2000", "--d", "5", "--trials", "2"]
+        with pytest.warns(UserWarning, match="large relative to 1/n"):
+            assert main([*argv, "--dataset", str(signal_csv), "--drop-label"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: delta must be in (0, 1), got 1.0\n"
 
     def test_t1_reference_point(self):
         assert choose_k_t1(PrivacyBudget(0.95, 0.5), d=100, n=50000) == 2

@@ -704,7 +704,7 @@ class TestEmitOutputs:
         from shufflesum import SweepResult
 
         with pytest.raises(ValueError):
-            emit_outputs(SweepResult(config=ExperimentConfig()), tmp_path)
+            emit_outputs(SweepResult(), tmp_path)
 
 
 # One sample per ExperimentConfig field: its flag/config-file text and the

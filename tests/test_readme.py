@@ -1,9 +1,14 @@
-"""The README's Python quick example runs as written."""
+"""The README's Python quick example and CLI examples run as written."""
 
 import re
+import shlex
+from contextlib import nullcontext
 from pathlib import Path
 
+import pytest
+
 from shufflesum import EstimateVector
+from shufflesum.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +22,28 @@ def test_quick_example_runs():
     assert isinstance(estimates, EstimateVector)
     assert estimates.values.shape == (namespace["d"],)
     assert estimates.counts.sum() == namespace["n"]
+
+
+def cli_examples():
+    """The argv of each `shufflesum` line of the README's CLI block."""
+    (block,) = [
+        b for b in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S) if "\nshufflesum " in b
+    ]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("shufflesum ")]
+
+
+def test_cli_examples_run(signal_csv, tmp_path, capsys):
+    paths = {"data.csv": str(signal_csv), "out/": str(tmp_path / "out")}
+    examples = [[paths.get(arg, arg) for arg in argv] for argv in cli_examples()]
+    commands = [argv[0] for argv in examples]
+    assert commands == ["params", "run", "sweep", "audit", "audit", "audit", "ingest-check"]
+    outputs = []
+    for argv in examples:
+        # run and sweep keep the default delta 0.5, far above 1/n
+        with pytest.warns(UserWarning) if argv[0] in ("run", "sweep") else nullcontext():
+            assert main(argv) == 0, argv
+        outputs.append(capsys.readouterr().out)
+    # the reference-point audit passes at exact epsilon 0.3632; --gamma 0.1 fails
+    assert outputs[5].startswith("exact epsilon 0.3632 ")
+    assert main([("0.1" if arg == "0.2" else arg) for arg in examples[5]]) == 4
