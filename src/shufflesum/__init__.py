@@ -15,14 +15,7 @@ from .aggregation import (
     analyze_arrays,
     shuffle,
 )
-from .audit import (
-    AuditVerdict,
-    TailParams,
-    chernoff_upper_bound,
-    exact_audit,
-    exact_tail_probability,
-    tail_params_from_protocol,
-)
+from .audit import AuditVerdict, exact_audit
 from .calibration import (
     ComposedBudget,
     PrivacyBudget,

@@ -9,8 +9,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 
+from chernoff_step import blanket_tail, chernoff_upper_bound
 from shufflesum import (
     ExperimentConfig,
     PrivacyBudget,
@@ -19,16 +19,14 @@ from shufflesum import (
     bound_mse_t1,
     calibrate_gamma_general,
     calibrate_gamma_t1,
-    chernoff_upper_bound,
     choose_k_general,
     choose_k_t1,
+    compose_epsilon_prime,
     emit_outputs,
     exact_audit,
-    exact_tail_probability,
     fit_matrix,
     randomize_batch,
     run_sweep,
-    tail_params_from_protocol,
 )
 from shufflesum.aggregation import analyze_arrays
 from shufflesum.accuracy import empirical_mse
@@ -231,15 +229,14 @@ def test_criterion_09_tail_endpoint(request):
     for eps, delta, d, k, n, t in points:
         b = PrivacyBudget(eps, delta)
         gamma = calibrate_gamma_general(b, d, k, n, t)
-        params = ProtocolParams(d=d, k=k, n=n, t=t, gamma=gamma)
-        expected_s = (n - 1) * t // d
-        tp = tail_params_from_protocol(params, b, s=expected_s)
-        tail = exact_tail_probability(tp, gamma, k)
+        eps_prime = compose_epsilon_prime(b, t).epsilon_prime
+        s = (n - 1) * t // d
+        tail = blanket_tail(s, gamma, k, gamma * s / k, eps_prime)
         all_ok = all_ok and tail <= delta / t
         worst_margin = max(worst_margin, tail / (delta / t))
-        tp2 = tail_params_from_protocol(params, b, s=2 * expected_s)
-        tail2 = exact_tail_probability(tp2, gamma, k)
-        all_ok = all_ok and tail2 <= chernoff_upper_bound(tp2)
+        c2 = gamma * (2 * s) / k
+        tail2 = blanket_tail(2 * s, gamma, k, c2, eps_prime)
+        all_ok = all_ok and tail2 <= chernoff_upper_bound(c2, eps_prime, t, delta)
     check(
         request, 9,
         "exact tail <= delta/t at expected occupancy; exact <= Chernoff at 2x",

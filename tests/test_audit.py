@@ -1,120 +1,41 @@
-"""Executable privacy analysis: exact tail events, Chernoff forms, and the
-exact hockey-stick audit, checked against the dense outcome table."""
+"""Exact privacy analysis: the blanket-count tail that the paper's
+Chernoff step bounds, and the exact hockey-stick audit, checked against
+the dense outcome table."""
 
 import math
 import warnings
 from dataclasses import replace
 
-import mpmath
 import numpy as np
 import pytest
 
+from chernoff_step import blanket_tail, chernoff_upper_bound, oracle_tail, pmf_sum_tail
 from shufflesum import (
     InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
-    TailParams,
     calibrate_gamma_general,
-    chernoff_upper_bound,
     compose_epsilon_prime,
     exact_audit,
-    exact_tail_probability,
     randomize_batch,
-    tail_params_from_protocol,
 )
-from shufflesum.audit import MAX_OUTCOMES, _binomial_tail
+from shufflesum.audit import MAX_OUTCOMES
 from shufflesum.cli import main
-
-mpmath.mp.dps = 50
-
-
-def binom_cdf(m, s, p):
-    """Independent binomial CDF oracle via the regularized beta function."""
-    if m < 0:
-        return mpmath.mpf(0)
-    if m >= s:
-        return mpmath.mpf(1)
-    p = mpmath.mpf(repr(p))
-    return mpmath.betainc(s - m, m + 1, 0, 1 - p, regularized=True)
-
-
-def oracle_tail(s, gamma, k, eps_prime, c=None):
-    if c is None:
-        c = gamma * s / k
-    p = gamma / k
-    hi = c * math.exp(eps_prime / 2)
-    lo = c * math.exp(-eps_prime / 2)
-    # Pr[Bin + 1 >= hi] + Pr[Bin <= lo]
-    upper = 1 - binom_cdf(math.ceil(hi - 1.0) - 1, s, p)
-    lower = binom_cdf(math.floor(lo), s, p)
-    return float(min(mpmath.mpf(1), upper + lower))
-
-
-def binom_tail_pmf_sum(s, p, cut, upper):
-    """Independent oracle for Pr[X >= cut] (upper) or Pr[X <= cut], X ~
-    Bin(s, p): a 50-digit sum of directly evaluated pmf terms from the cut
-    outwards, until the terms past the mean fall below 1e-40 of the sum.
-    Unlike binom_cdf it converges at s = 1e6 and for tails near 1e-100.
-    p enters as its exact binary value, as the float code sees it."""
-    if (cut > s) if upper else (cut < 0):
-        return mpmath.mpf(0)
-    p = mpmath.mpf(p)
-    step, end = (1, s) if upper else (-1, 0)
-    j = max(cut, 0) if upper else min(cut, s)
-    total = mpmath.mpf(0)
-    while True:
-        term = mpmath.binomial(s, j) * p**j * (1 - p) ** (s - j)
-        total += term
-        if j == end or ((j - s * p) * step > 0 and term < total * mpmath.mpf(10) ** -40):
-            return total
-        j += step
-
-
-def pmf_sum_tail(s, gamma, k, c, eps_prime):
-    """exact_tail_probability's union of events, from binom_tail_pmf_sum."""
-    hi = c * math.exp(eps_prime / 2)
-    lo = c * math.exp(-eps_prime / 2)
-    upper = binom_tail_pmf_sum(s, gamma / k, math.ceil(hi - 1.0), upper=True)
-    lower = binom_tail_pmf_sum(s, gamma / k, math.floor(lo), upper=False)
-    return float(min(mpmath.mpf(1), upper + lower))
-
-
-class TestTailParamsFromProtocol:
-    def test_defaults_to_expected_occupancy(self):
-        params = ProtocolParams(d=100, k=3, n=50000, t=1, gamma=0.18)
-        b = PrivacyBudget(0.95, 0.5)
-        tp = tail_params_from_protocol(params, b)
-        assert tp.s == round(49999 / 100)
-        assert tp.c == pytest.approx(0.18 * tp.s / 3, rel=1e-15)
-        assert tp.eps_prime == pytest.approx(
-            compose_epsilon_prime(b, 1).epsilon_prime, rel=1e-15
-        )
-        assert tp.t == 1 and tp.delta == 0.5
-
-    def test_explicit_s_override(self):
-        params = ProtocolParams(d=2, k=1, n=101, t=2, gamma=0.4)
-        tp = tail_params_from_protocol(params, PrivacyBudget(0.5, 0.1), s=200)
-        assert tp.s == 200
-        assert tp.c == pytest.approx(80.0)
 
 
 class TestExactTailProbability:
-    def test_degenerate_blanket_is_certain(self):
-        tp = TailParams(s=100, c=0.0, eps_prime=0.5, t=1, delta=0.1)
-        assert exact_tail_probability(tp, gamma=0.0, k=1) == 1.0
-
     def test_small_case_against_independent_oracle(self):
         s, gamma, k, eps_prime = 100, 0.5, 2, 0.5
-        tp = TailParams(s=s, c=gamma * s / k, eps_prime=eps_prime, t=1, delta=0.1)
-        got = exact_tail_probability(tp, gamma, k)
+        c = gamma * s / k
+        got = blanket_tail(s, gamma, k, c, eps_prime)
         assert got == pytest.approx(oracle_tail(s, gamma, k, eps_prime), rel=1e-10)
         # and against a brute-force pmf summation with exact integer binomials
         p_num, p_den = 1, 4  # gamma/k = 1/4
-        hi_cut = math.ceil(tp.c * math.exp(eps_prime / 2) - 1.0)  # N >= this + 1... N+1>=hi
-        lo_cut = math.floor(tp.c * math.exp(-eps_prime / 2))
+        hi_cut = math.ceil(c * math.exp(eps_prime / 2) - 1.0)  # N >= this + 1... N+1>=hi
+        lo_cut = math.floor(c * math.exp(-eps_prime / 2))
         total = 0
         for j in range(s + 1):
-            if j + 1 >= tp.c * math.exp(eps_prime / 2) or j <= lo_cut:
+            if j + 1 >= c * math.exp(eps_prime / 2) or j <= lo_cut:
                 total += math.comb(s, j) * p_num**j * (p_den - p_num) ** (s - j)
         brute = total / p_den**s
         assert got == pytest.approx(brute, rel=1e-10)
@@ -123,37 +44,25 @@ class TestExactTailProbability:
     @pytest.mark.parametrize(
         "s, gamma, k, c, eps_prime",
         [
-            (200_000, 0.02, 1, 4000.0, 0.5),  # both events far out: 3.8e-49
-            (200_000, 0.02, 1, 4000.0, 0.75),  # 1.3e-99
-            (1_000_000, 0.02, 1, 20000.0, 0.32),  # 2.0e-104
-            (1_000_000, 0.1705, 3, 0.1705 * 1_000_000 / 3, 0.12),  # 1.7e-47
-            (200_000, 0.02, 1, 3900.0, 0.02),  # the upper event holds the mode
-            (100, 1.0, 1, 99.0, 0.02),  # p = 1: N_lo = s, the upper event is certain
-            (100, 1.0, 1, 100.0, 0.5),  # p = 1: neither event can happen
             (50, 0.5, 1, 80.0, 0.5),  # both cuts above s
+            # criterion 9 at eps 0.4, delta 0.05, expected occupancy
+            (30_000, 0.1289271110626257, 1, 0.1289271110626257 * 30_000, 0.08170779653072699),
+            # criterion 9 at t = 2, eps 0.6, delta 0.3, twice the expected occupancy
+            (120_000, 0.01617057671255292, 1, 0.01617057671255292 * 120_000, 0.13670453454204468),
         ],
     )
     def test_large_s_and_deep_tails_against_pmf_sum(self, s, gamma, k, c, eps_prime):
-        tp = TailParams(s=s, c=c, eps_prime=eps_prime, t=1, delta=0.1)
-        got = exact_tail_probability(tp, gamma, k)
+        got = blanket_tail(s, gamma, k, c, eps_prime)
         want = pmf_sum_tail(s, gamma, k, c, eps_prime)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("upper", [True, False])
-    @pytest.mark.parametrize("cut", [-3, 0, 1, 29, 30, 33])
-    def test_tail_at_and_beyond_the_ends_of_the_support(self, cut, upper):
-        got = _binomial_tail(30, 0.4, cut, upper)
-        want = float(binom_tail_pmf_sum(30, 0.4, cut, upper))
-        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
-
     def test_monte_carlo_agreement(self):
-        s, gamma, k, eps_prime = 100, 0.5, 2, 0.5
-        tp = TailParams(s=s, c=25.0, eps_prime=eps_prime, t=1, delta=0.1)
-        exact = exact_tail_probability(tp, gamma, k)
+        s, gamma, k, eps_prime, c = 100, 0.5, 2, 0.5, 25.0
+        exact = blanket_tail(s, gamma, k, c, eps_prime)
         rng = np.random.default_rng(0)
         draws = rng.binomial(s, gamma / k, size=1_000_000)
-        hi = tp.c * math.exp(eps_prime / 2)
-        lo = tp.c * math.exp(-eps_prime / 2)
+        hi = c * math.exp(eps_prime / 2)
+        lo = c * math.exp(-eps_prime / 2)
         freq = np.mean((draws + 1 >= hi) | (draws <= lo))
         se = math.sqrt(exact * (1 - exact) / draws.size)
         assert abs(freq - exact) < 4 * se
@@ -162,57 +71,37 @@ class TestExactTailProbability:
         # gamma from the general calibration keeps the tail below delta/t
         b = PrivacyBudget(0.5, 0.1)
         gamma = calibrate_gamma_general(b, d=1, k=1, n=10001, t=1)
-        params = ProtocolParams(d=1, k=1, n=10001, t=1, gamma=gamma)
-        tp = tail_params_from_protocol(params, b)
-        assert tp.s == 10000
-        got = exact_tail_probability(tp, gamma, 1)
+        s = 10000  # (n - 1) t / d
+        c, eps_prime = gamma * s, compose_epsilon_prime(b, 1).epsilon_prime
+        got = blanket_tail(s, gamma, 1, c, eps_prime)
         assert got <= 0.1
-        want = pmf_sum_tail(tp.s, gamma, 1, tp.c, tp.eps_prime)
+        want = pmf_sum_tail(s, gamma, 1, c, eps_prime)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_monotone_nonincreasing_in_occupancy(self):
         gamma, k, eps_prime = 0.3, 1, 0.4
         prev = 2.0
         for s in (50, 100, 200, 400, 800, 1600):
-            tp = TailParams(s=s, c=gamma * s / k, eps_prime=eps_prime, t=1, delta=0.1)
-            cur = exact_tail_probability(tp, gamma, k)
+            cur = blanket_tail(s, gamma, k, gamma * s / k, eps_prime)
             assert cur <= prev + 1e-12
             prev = cur
-
-    def test_rejects_bad_inputs(self):
-        tp = TailParams(s=-1, c=1.0, eps_prime=0.5, t=1, delta=0.1)
-        with pytest.raises(ValueError):
-            exact_tail_probability(tp, 0.5, 1)
-        tp = TailParams(s=10, c=1.0, eps_prime=0.5, t=1, delta=0.1)
-        with pytest.raises(ValueError):
-            exact_tail_probability(tp, 1.5, 1)
-
-    @pytest.mark.parametrize("cut, upper", [(10_000, True), (0, False)])
-    def test_tail_beyond_float_range_is_zero(self, cut, upper):
-        # log pmf(cut) = 10^4 log 0.5 < -750: the walk out from the mode
-        # stops early, as exp of it is 0.0 in float64 anyway
-        assert 10_000 * math.log(0.5) < -750.0
-        assert _binomial_tail(10_000, 0.5, cut, upper) == 0.0
 
 
 class TestChernoffUpperBound:
     @pytest.mark.parametrize("eps_prime", [0.0, -0.5, 6.0, 7.5])
     def test_eps_prime_outside_its_range_raises(self, eps_prime):
-        tp = TailParams(s=100, c=1e6, eps_prime=eps_prime, t=1, delta=0.1)
         with pytest.raises(ValueError, match=r"eps_prime must be in \(0, 6\)"):
-            chernoff_upper_bound(tp)
+            chernoff_upper_bound(1e6, eps_prime, 1, 0.1)
 
     def test_precondition_enforced(self):
-        tp = TailParams(s=100, c=1.0, eps_prime=0.5, t=1, delta=0.1)
         with pytest.raises(InfeasibleParametersError):
-            chernoff_upper_bound(tp)
+            chernoff_upper_bound(1.0, 0.5, 1, 0.1)
 
     def test_threshold_value_meets_delta_over_t(self):
         for delta in (0.05, 0.1, 0.3):
             for eps_prime in (0.1, 0.5, 0.9):
                 c = 14 * math.log(2 / delta) / eps_prime**2
-                tp = TailParams(s=10**9, c=c, eps_prime=eps_prime, t=1, delta=delta)
-                got = chernoff_upper_bound(tp)
+                got = chernoff_upper_bound(c, eps_prime, 1, delta)
                 expected = math.exp(-(c / 3) * (eps_prime / 2) ** 2) + math.exp(
                     -(c / 2) * (eps_prime / math.sqrt(7)) ** 2
                 )
@@ -222,18 +111,16 @@ class TestChernoffUpperBound:
     def test_high_branch_form(self):
         eps_prime, delta = 1.5, 0.1
         c = 80 * math.log(2 / delta) / eps_prime**2 * 2
-        tp = TailParams(s=10**9, c=c, eps_prime=eps_prime, t=1, delta=delta)
         expected = math.exp(-(c / 3) * (eps_prime / 2) ** 2) + math.exp(
             -(c / 2) * (eps_prime / (2 * math.sqrt(10))) ** 2
         )
-        assert chernoff_upper_bound(tp) == pytest.approx(expected, rel=1e-12)
+        assert chernoff_upper_bound(c, eps_prime, 1, delta) == pytest.approx(expected, rel=1e-12)
 
     def test_vanishes_as_c_grows(self):
         vals = []
         for mult in (1, 10, 100):
             c = 14 * math.log(20) / 0.25 * mult
-            tp = TailParams(s=10**9, c=c, eps_prime=0.5, t=1, delta=0.1)
-            vals.append(chernoff_upper_bound(tp))
+            vals.append(chernoff_upper_bound(c, 0.5, 1, 0.1))
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-80
 
@@ -251,26 +138,21 @@ class TestChernoffUpperBound:
             gamma, k = 0.5, 1
             s = int(math.ceil(c / (gamma / k)))
             c = gamma * s / k  # re-derive so the invariant c = gamma s / k holds
-            tp = TailParams(s=s, c=c, eps_prime=eps_prime, t=1, delta=delta)
-            exact = exact_tail_probability(tp, gamma, k)
-            assert exact <= chernoff_upper_bound(tp) + 1e-15
+            exact = blanket_tail(s, gamma, k, c, eps_prime)
+            assert exact <= chernoff_upper_bound(c, eps_prime, 1, delta) + 1e-15
 
     def test_dominates_exact_at_double_expected_occupancy(self):
         # calibrated gamma meets the precondition exactly at s = 2 E[s]
         for eps, delta, d, n in [(0.5, 0.1, 1, 10001), (0.8, 0.05, 2, 20001)]:
             b = PrivacyBudget(eps, delta)
             gamma = calibrate_gamma_general(b, d=d, k=1, n=n, t=1)
-            params = ProtocolParams(d=d, k=1, n=n, t=1, gamma=gamma)
             s2 = 2 * (n - 1) // d
-            tp = tail_params_from_protocol(params, b, s=s2)
-            exact = exact_tail_probability(tp, gamma, 1)
-            assert exact <= chernoff_upper_bound(tp)
+            c, eps_prime = gamma * s2, compose_epsilon_prime(b, 1).epsilon_prime
+            exact = blanket_tail(s2, gamma, 1, c, eps_prime)
+            assert exact <= chernoff_upper_bound(c, eps_prime, 1, delta)
 
 
-class TestMonteCarloAudit:
-    """The cases of the sampled audit this module once had, checked with
-    the exact audit that replaced it: each verdict is now deterministic."""
-
+class TestExactAuditVerdicts:
     def _tiny(self, gamma, n=6, d=1, k=1):
         return ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma)
 

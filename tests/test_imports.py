@@ -1,14 +1,16 @@
-"""Each module of the package uses every name it imports."""
+"""Each module of the package and of its tests uses every name it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "shufflesum"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "shufflesum"
 # imported for an effect, not for a name (harness.py's comment gives its reason)
 ALLOWED = {"__future__.annotations", "numpy.random"}
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -40,6 +42,8 @@ def test_finds_unused_imports():
     assert unused_imports("from __future__ import annotations\nimport numpy.random\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda path: path.name if path.parent == SRC else f"tests/{path.name}"
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
