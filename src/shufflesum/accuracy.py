@@ -4,7 +4,9 @@ log-log power-law fitting for the parameter-dependency sweeps.
 The empirical target is the sampled-coordinate true sum: for each
 coordinate l, the sum of x_i^(l) over exactly those users that sampled l
 in the trial.  The normalized MSE scales the total squared error by
-(d/n)^2.
+(d/n)^2.  The bounds read the calibration table: where gamma is
+max c d k F / ((n-1) D), the bound is
+t d^(8/3) max (c F / D)^(2/3) / (2^(1/3) (1-gamma)^2 n^(5/3)).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import EstimateVector
-from .calibration import PrivacyBudget, ProtocolParams
+from .calibration import PrivacyBudget, ProtocolParams, _branches
 from .exceptions import InfeasibleParametersError
 
 
@@ -52,9 +54,15 @@ def empirical_mse(
     )
 
 
-def _check_feasible(params: ProtocolParams):
+def _bound(params: ProtocolParams, budget: PrivacyBudget, analysis: str) -> BoundReport:
     if params.gamma >= 1.0:
         raise InfeasibleParametersError("bounds undefined for gamma >= 1")
+    d, n, t = params.d, params.n, params.t
+    worst = max(math.prod(f, start=c) / den for c, f, den in _branches(budget, t, analysis))
+    shape = t * d ** (8.0 / 3.0) / ((1.0 - params.gamma) ** 2 * n ** (5.0 / 3.0))
+    mse = shape * worst ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
+    regime = "high" if budget.high_regime else "low"
+    return BoundReport(mse_bound=mse, branch=f"{regime}-{analysis}")
 
 
 def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> BoundReport:
@@ -64,45 +72,14 @@ def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> BoundRep
                  / ((1-gamma)^2 n^(5/3) eps^(4/3))
     High regime: same shape with 8 t (63 ...)^(2/3).
     """
-    _check_feasible(params)
-    d, n, t = params.d, params.n, params.t
-    eps, delta = budget.epsilon, budget.delta
-    loglog = math.log(1.0 / delta) * math.log(2.0 * t / delta)
-    if budget.high_regime:
-        lead, inner, branch = 8.0 * t, 63.0 * loglog, "high-general"
-    else:
-        lead, inner, branch = 2.0 * t, 14.0 * loglog, "low-general"
-    mse = (
-        lead
-        * d ** (8.0 / 3.0)
-        * inner ** (2.0 / 3.0)
-        / ((1.0 - params.gamma) ** 2 * n ** (5.0 / 3.0) * eps ** (4.0 / 3.0))
-    )
-    return BoundReport(mse_bound=mse, branch=branch)
+    return _bound(params, budget, "general")
 
 
 def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> BoundReport:
     """Tightened normalized-MSE upper bound for t = 1 (max of two branches)."""
     if params.t != 1:
         raise ValueError(f"t=1 bound requested with t={params.t}")
-    _check_feasible(params)
-    d, n = params.d, params.n
-    eps, delta = budget.epsilon, budget.delta
-    shape = d ** (8.0 / 3.0) / ((1.0 - params.gamma) ** 2 * n ** (5.0 / 3.0))
-    log2d = math.log(2.0 / delta)
-    if budget.high_regime:
-        mse = shape * max(
-            2.0 * (20.0 * log2d) ** (2.0 / 3.0) / eps ** (4.0 / 3.0),
-            2.0 * 9.0 ** (2.0 / 3.0) / (11.0 * eps) ** (2.0 / 3.0),
-        )
-        branch = "high-t1"
-    else:
-        mse = shape * max(
-            98.0 ** (1.0 / 3.0) * log2d ** (2.0 / 3.0) / eps ** (4.0 / 3.0),
-            18.0 / (4.0 * eps) ** (2.0 / 3.0),
-        )
-        branch = "low-t1"
-    return BoundReport(mse_bound=mse, branch=branch)
+    return _bound(params, budget, "t1")
 
 
 def fit_power_law(xs, ys):

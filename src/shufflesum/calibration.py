@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its arguments.  The blanket
 probability gamma is the fraction of randomized-response submissions
-replaced by uniform noise; it is derived from the target (epsilon, delta)
-budget, with separate constants for the low regime (epsilon < 1) and the
-high regime (1 <= epsilon < 6).  Budgets with epsilon >= 6 are rejected.
+replaced by uniform noise.  One table, `_branches`, holds the paper's
+constants for the t = 1 and general-t analyses in the low (epsilon < 1)
+and high (1 <= epsilon < 6) regimes; gamma, k and the accuracy bounds
+all derive from it.  Budgets with epsilon >= 6 are rejected.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> ComposedBudget:
     regime; in the high regime the 2 is scaled by a further factor of 6.
     delta' = delta / r.
     """
+    _check_integer("r", r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     log_term = math.log(1.0 / budget.delta)
@@ -85,13 +87,13 @@ def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> ComposedBudget:
 
 
 def _check_integer(name: str, value):
-    """The integer rule for d, k, n and t: numpy integers pass, bool does not."""
+    """The integer rule for d, k, n, t and r: numpy integers pass, bool does not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_dims(d: int, n: int, t: int, k: int = 1):
-    """The range rules for d, k, n and t; the choose_k_* callers have no k yet."""
+    """The range rules for d, k, n and t; choose_k_t1 has no k yet."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if k < 1:
@@ -112,6 +114,30 @@ def _feasible_gamma(gamma: float, context: str) -> float:
     return gamma
 
 
+def _branches(budget: PrivacyBudget, t: int, analysis: str):
+    """The paper's constants, one (c, factors, den) per branch of the "t1" or
+    "general" analysis: gamma = max c d k prod(factors) / ((n-1) den)."""
+    eps, delta = budget.epsilon, budget.delta
+    if analysis == "general":
+        logs = (math.log(1.0 / delta), math.log(2.0 * t / delta))
+        return [(2016.0 if budget.high_regime else 56.0, logs, eps**2)]
+    log2d = math.log(2.0 / delta)
+    if budget.high_regime:
+        # The linear branch never decides a result: it would need
+        # eps > (80 * 11/36) ln(2/delta) > 16.9, while eps < 6.
+        return [(80.0, (log2d,), eps**2), (36.0 / 11.0, (), eps)]
+    return [(14.0, (log2d,), eps**2), (27.0, (), eps)]
+
+
+def _gamma(budget: PrivacyBudget, d: int, k: int, n: int, t: int, analysis: str) -> float:
+    _check_dims(d, n, t, k)
+    # math.prod multiplies left to right from start, so gamma rounds as c*d*k*F1*F2 does
+    return max(
+        math.prod(factors, start=c * d * k) / ((n - 1) * den)
+        for c, factors, den in _branches(budget, t, analysis)
+    )
+
+
 def calibrate_gamma_general(
     budget: PrivacyBudget, d: int, k: int, n: int, t: int
 ) -> float:
@@ -121,17 +147,7 @@ def calibrate_gamma_general(
     the low regime and C = 2016 in the high regime.  Raises
     InfeasibleParametersError when the formula exceeds 1.
     """
-    _check_dims(d, n, t, k)
-    const = 2016.0 if budget.high_regime else 56.0
-    gamma = (
-        const
-        * d
-        * k
-        * math.log(1.0 / budget.delta)
-        * math.log(2.0 * t / budget.delta)
-        / ((n - 1) * budget.epsilon**2)
-    )
-    return _feasible_gamma(gamma, "general-t calibration")
+    return _feasible_gamma(_gamma(budget, d, k, n, t, "general"), "general-t calibration")
 
 
 def calibrate_gamma_t1(budget: PrivacyBudget, d: int, k: int, n: int) -> float:
@@ -142,41 +158,17 @@ def calibrate_gamma_t1(budget: PrivacyBudget, d: int, k: int, n: int) -> float:
     High regime: gamma = max{ 80 d k ln(2/delta) / ((n-1) eps^2),
                               36 d k / (11 (n-1) eps) }
     """
-    _check_dims(d, n, 1, k)
-    eps, delta = budget.epsilon, budget.delta
-    log2d = math.log(2.0 / delta)
-    if budget.high_regime:
-        gamma = max(
-            80.0 * d * k * log2d / ((n - 1) * eps**2),
-            36.0 * d * k / (11.0 * (n - 1) * eps),
-        )
-    else:
-        gamma = max(
-            14.0 * d * k * log2d / ((n - 1) * eps**2),
-            27.0 * d * k / ((n - 1) * eps),
-        )
-    return _feasible_gamma(gamma, "t=1 calibration")
-
-
-def _round_k(value: float) -> int:
-    # round-half-up, clamped to the integer histogram domain floor
-    return max(1, int(math.floor(value + 0.5)))
+    return _feasible_gamma(_gamma(budget, d, k, n, 1, "t1"), "t=1 calibration")
 
 
 def choose_k_general(budget: PrivacyBudget, d: int, n: int, t: int) -> int:
     """Quantization level minimizing 1/(4k^2) + C k over the integers,
-    where C is the per-unit-k blanket cost.  The continuous minimizer is
-    (1/(2C))^(1/3); the integer minimizer is one of its two neighbors,
-    clamped to >= 1 (nearest-integer rounding can land on the wrong side
-    of the discrete switch point, so both neighbors are compared).
+    where C = gamma(k = 1)/2 is the general-t per-unit-k blanket cost.  The
+    continuous minimizer is (1/(2C))^(1/3); the integer minimizer is one of
+    its two neighbors, clamped to >= 1 (nearest-integer rounding can land on
+    the wrong side of the discrete switch point, so both neighbors are compared).
     """
-    _check_dims(d, n, t)
-    a_eps = 1008.0 if budget.high_regime else 28.0
-    log1d = math.log(1.0 / budget.delta)
-    cost = (
-        a_eps * d * log1d * math.log(2.0 * t / budget.delta)
-        / ((n - 1) * budget.epsilon**2)
-    )
+    cost = _gamma(budget, d, 1, n, t, "general") / 2.0
     k_star = (1.0 / (2.0 * cost)) ** (1.0 / 3.0)
     lo = max(1, math.floor(k_star))
 
@@ -195,17 +187,8 @@ def choose_k_t1(budget: PrivacyBudget, d: int, n: int) -> int:
                                 (11 n eps / (72 d))^(1/3) })
     """
     _check_dims(d, n, 1)
-    eps, delta = budget.epsilon, budget.delta
-    log2d = math.log(2.0 / delta)
-    third = 1.0 / 3.0
-    if budget.high_regime:
-        value = min(
-            (n * eps**2 / (160.0 * d * log2d)) ** third,
-            (11.0 * n * eps / (72.0 * d)) ** third,
-        )
-    else:
-        value = min(
-            (n * eps**2 / (28.0 * d * log2d)) ** third,
-            (n * eps / (54.0 * d)) ** third,
-        )
-    return _round_k(value)
+    value = min(
+        (n * den / math.prod(factors, start=2.0 * c * d)) ** (1.0 / 3.0)
+        for c, factors, den in _branches(budget, 1, "t1")
+    )
+    return max(1, int(math.floor(value + 0.5)))  # round half up, k >= 1

@@ -111,8 +111,9 @@ class TestComposeEpsilonPrime:
         )
 
     def test_rejects_bad_r(self):
-        with pytest.raises(ValueError):
-            compose_epsilon_prime(PrivacyBudget(0.5, 0.1), 0)
+        for r in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                compose_epsilon_prime(PrivacyBudget(0.5, 0.1), r)
 
     def test_delta_one_is_degenerate(self):
         # ln(1/delta) = 0 would leave no per-fold budget: delta = 1 is refused
@@ -201,7 +202,7 @@ class TestAdvancedComposition:
 class TestCalibrateGammaGeneral:
     def test_frozen_scalar_example(self):
         got = calibrate_gamma_general(PrivacyBudget(0.5, 0.1), d=1, k=1, n=10001, t=1)
-        assert got == pytest.approx(0.1545135978553794, rel=1e-12)
+        assert got == 0.1545135978553794
         oracle = (
             56
             * mpmath.log(10)
@@ -214,7 +215,12 @@ class TestCalibrateGammaGeneral:
         got = calibrate_gamma_general(PrivacyBudget(0.95, 0.5), d=100, k=3, n=50000, t=1)
         oracle = 56 * 300 * mpmath.log(2) * mpmath.log(4) / (49999 * mpmath.mpf("0.9025"))
         assert got == pytest.approx(float(oracle), rel=1e-12)
-        assert got == pytest.approx(0.35775167066004077, rel=1e-12)
+        assert got == 0.35775167066004077
+
+    def test_frozen_ref_t5_point(self):
+        # the gamma every ref_t5 benchmark trial runs with
+        got = calibrate_gamma_general(PrivacyBudget(0.95, 0.5), d=100, k=3, n=50000, t=5)
+        assert got == 0.7730884982092605
 
     def test_small_cohort_is_infeasible(self):
         with pytest.raises(InfeasibleParametersError):
@@ -268,7 +274,7 @@ class TestCalibrateGammaGeneral:
 class TestCalibrateGammaT1:
     def test_frozen_reference_point(self):
         got = calibrate_gamma_t1(PrivacyBudget(0.95, 0.5), d=100, k=3, n=50000)
-        assert got == pytest.approx(0.17052972638400138, rel=1e-12)
+        assert got == 0.17052972638400138
 
     def test_linear_branch_dominates_scalar(self):
         got = calibrate_gamma_t1(PrivacyBudget(0.95, 0.5), d=1, k=1, n=50000)
@@ -374,13 +380,15 @@ class TestChooseK:
         assert choose_k_t1(PrivacyBudget(0.95, 0.5), d=100, n=50000) == 2
 
     def test_t1_transcription(self):
-        eps, delta, d, n = 0.95, 0.5, 100, 50000
-        value = min(
-            (n * eps**2 / (28 * d * math.log(2 / delta))) ** (1 / 3),
-            (n * eps / (54 * d)) ** (1 / 3),
-        )
-        assert value == pytest.approx(2.0643, abs=1e-4)
-        assert choose_k_t1(PrivacyBudget(eps, delta), d, n) == round(value)
+        # delta = 0.5 takes the linear branch (54), delta = 0.01 the log branch (28)
+        eps, d, n = 0.95, 100, 50000
+        for delta, expected, k in [(0.5, 2.0643, 2), (0.01, 1.4489, 1)]:
+            value = min(
+                (n * eps**2 / (28 * d * math.log(2 / delta))) ** (1 / 3),
+                (n * eps / (54 * d)) ** (1 / 3),
+            )
+            assert value == pytest.approx(expected, abs=1e-4)
+            assert choose_k_t1(PrivacyBudget(eps, delta), d, n) == round(value) == k
 
     def test_t1_high_regime_transcription(self):
         eps, delta, d, n = 2.0, 0.1, 50, 10**6
