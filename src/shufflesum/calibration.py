@@ -106,9 +106,9 @@ def _check_dims(d: int, n: int, t: int, k: int = 1):
 
 def _feasible_gamma(gamma: float, context: str) -> float:
     # Never clamp: gamma = 1 would make the output pure noise.
-    if gamma > 1.0:
+    if gamma >= 1.0:
         raise InfeasibleParametersError(
-            f"{context}: required blanket probability {gamma:.6g} exceeds 1; "
+            f"{context}: required blanket probability {gamma:.6g} is not below 1; "
             "increase n or relax the budget"
         )
     return gamma
@@ -145,7 +145,7 @@ def calibrate_gamma_general(
 
     gamma = C d k ln(1/delta) ln(2t/delta) / ((n-1) eps^2), with C = 56 in
     the low regime and C = 2016 in the high regime.  Raises
-    InfeasibleParametersError when the formula exceeds 1.
+    InfeasibleParametersError when the formula is at least 1.
     """
     return _feasible_gamma(_gamma(budget, d, k, n, t, "general"), "general-t calibration")
 

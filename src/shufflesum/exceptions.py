@@ -3,7 +3,7 @@
 
 class InfeasibleParametersError(ValueError):
     """The requested privacy budget cannot be met by any valid mechanism
-    configuration (e.g. the blanket probability formula exceeds 1)."""
+    configuration (e.g. the blanket probability formula is at least 1)."""
 
 
 class MalformedMessageError(ValueError):

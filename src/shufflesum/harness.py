@@ -11,6 +11,7 @@ dependency being measured.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import typing
@@ -154,7 +155,7 @@ class SweepResult:
 def _read_cells(path) -> np.ndarray:
     """`ingest_csv`'s per-cell reader: the only one that reads quoted cells,
     "1_0" and whitespace-only lines, and that names an error's position."""
-    rows, line_numbers = [], []
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -164,14 +165,19 @@ def _read_cells(path) -> np.ndarray:
                 parsed = []
                 for j, cell in enumerate(row):
                     try:
-                        parsed.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise ValueError(
                             f"{path}: unparseable cell at row {reader.line_num}, "
                             f"column {j + 1}: {cell!r}"
                         ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}: non-finite cell at row {reader.line_num}, "
+                            f"column {j + 1}: {value}"
+                        )
+                    parsed.append(value)
                 rows.append(parsed)
-                line_numbers.append(reader.line_num)
         except csv.Error as exc:  # a cell over csv.field_size_limit(), say
             raise ValueError(f"{path}: unreadable CSV at line {reader.line_num}: {exc}") from None
     if not rows:
@@ -179,21 +185,15 @@ def _read_cells(path) -> np.ndarray:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
-    matrix = np.asarray(rows, dtype=float)
-    non_finite = np.argwhere(~np.isfinite(matrix))
-    if non_finite.size:
-        r, j = non_finite[0]
-        raise ValueError(
-            f"{path}: non-finite cell at row {line_numbers[r]}, column {j + 1}: {rows[r][j]}"
-        )
-    return matrix
+    return np.asarray(rows, dtype=float)
 
 
 def _loadtxt_agrees(text: str) -> bool:
-    """Whether np.loadtxt reads text as `_read_cells` does: numpy strips
-    \\x1c-\\x1f around a number and reads a cell (so a \\n-separated line)
-    over csv.field_size_limit(), which float() and csv refuse."""
-    if any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+    """Whether np.loadtxt reads text as `_read_cells` does: numpy warns on an
+    empty or whitespace-only text, strips \\x1c-\\x1f around a number and
+    reads a cell (so a \\n-separated line) over csv.field_size_limit(), which
+    float() and csv refuse."""
+    if not text or text.isspace() or any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
         return False
     limit, start = csv.field_size_limit(), 0
     while len(text) - start > limit:
@@ -215,15 +215,12 @@ def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> Data
     """
     if normalize not in CHOICES["normalize"]:
         raise ValueError(f"normalize must be one of {CHOICES['normalize']}, got {normalize!r}")
-    with open(path, newline="") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
-        try:
-            if not _loadtxt_agrees(fh.read()):
-                raise ValueError("a text that only _read_cells reads right")
+    matrix = None
+    with open(path, newline="") as fh:
+        if _loadtxt_agrees(fh.read()):
             fh.seek(0)  # a handle, as numpy imports gzip to open a path
-            matrix = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)  # "#" is a cell
-        except (ValueError, UserWarning):
-            matrix = None
+            with contextlib.suppress(ValueError):
+                matrix = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)  # "#" is a cell
     if matrix is None or not np.isfinite(matrix).all():
         matrix = _read_cells(path)
     steps = [f"read {matrix.shape[0]}x{matrix.shape[1]} from {path}"]
@@ -294,23 +291,21 @@ def resolve_point(config: ExperimentConfig, value=None):
     if config.axis is not None and value is not None:
         pc = replace(config, **{config.axis: value})
     budget = PrivacyBudget(pc.eps, pc.delta)
-    if pc.gamma is not None:
+    k, gamma = pc.k, pc.gamma
+    if gamma is not None:
         mode = "manual"
+        if gamma >= 1.0:  # a calibrated gamma >= 1 raises in the calibrator
+            raise InfeasibleParametersError(f"gamma = {gamma:.6g} leaves no truthful signal")
     elif pc.calibration == "auto" and pc.t == 1:
         mode = "t1"
-    else:
-        mode = "general"
-    k, gamma = pc.k, pc.gamma
-    if mode == "t1":
         if config.axis in FITTED_AXES:
             k = choose_k_t1(budget, pc.d, pc.n)
         gamma = calibrate_gamma_t1(budget, pc.d, k, pc.n)
-    elif mode == "general":
+    else:
+        mode = "general"
         if config.axis in FITTED_AXES:
             k = choose_k_general(budget, pc.d, pc.n, pc.t)
         gamma = calibrate_gamma_general(budget, pc.d, k, pc.n, pc.t)
-    if gamma >= 1.0:
-        raise InfeasibleParametersError(f"gamma = {gamma:.6g} leaves no truthful signal")
     params = ProtocolParams(d=pc.d, k=k, n=pc.n, t=pc.t, gamma=gamma)
     return params, budget, mode
 
@@ -406,18 +401,11 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     return result
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[h]) for h in header])
+        writer = csv.DictWriter(fh, header, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def emit_outputs(result: SweepResult, out_dir):

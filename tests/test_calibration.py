@@ -229,6 +229,15 @@ class TestCalibrateGammaGeneral:
         with pytest.raises(InfeasibleParametersError):
             calibrate_gamma_general(PrivacyBudget(0.5, 0.1), d=100, k=3, n=10001, t=1)
 
+    def test_formula_of_exactly_one_is_infeasible(self):
+        # at n = 101 this eps puts 56 ln 2 ln 4 / (100 eps^2) at 1.0 exactly;
+        # the next float up gives the largest gamma below 1
+        eps = 0.7335580246908798
+        with pytest.raises(InfeasibleParametersError, match="probability 1 is not below 1"):
+            calibrate_gamma_general(PrivacyBudget(eps, 0.5), d=1, k=1, n=101, t=1)
+        above = PrivacyBudget(math.nextafter(eps, 1.0), 0.5)
+        assert calibrate_gamma_general(above, d=1, k=1, n=101, t=1) == 0.9999999999999999
+
     def test_high_regime_constant(self):
         low = calibrate_gamma_general(PrivacyBudget(0.999, 0.1), 1, 1, 10**7, 1)
         high = calibrate_gamma_general(PrivacyBudget(1.0, 0.1), 1, 1, 10**7, 1)
@@ -268,7 +277,7 @@ class TestCalibrateGammaGeneral:
             gamma = calibrate_gamma_general(PrivacyBudget(eps, delta), d, k, n, t)
         except InfeasibleParametersError:
             return
-        assert 0.0 < gamma <= 1.0
+        assert 0.0 < gamma < 1.0
 
 
 class TestCalibrateGammaT1:
@@ -313,6 +322,18 @@ class TestCalibrateGammaT1:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleParametersError):
             calibrate_gamma_t1(PrivacyBudget(0.1, 0.01), d=100, k=3, n=1000)
+
+    def test_formula_of_exactly_one_is_infeasible(self, capsys):
+        # 27 d k / ((n - 1) eps) = 27 / (54 * 0.5) = 1.0 exactly at n = 55
+        b = PrivacyBudget(0.5, 0.9)
+        with pytest.raises(InfeasibleParametersError, match="probability 1 is not below 1"):
+            calibrate_gamma_t1(b, d=1, k=1, n=55)
+        assert calibrate_gamma_t1(b, d=1, k=1, n=56) == 27 / (55 * 0.5)
+        argv = ["params", "--n", "55", "--d", "1", "--k", "1", "--t", "1"]
+        assert main([*argv, "--eps", "0.5", "--delta", "0.9"]) == 2
+        assert "t=1 calibration: required blanket probability 1 is not below 1" in (
+            capsys.readouterr().err
+        )
 
 
 class TestChooseK:

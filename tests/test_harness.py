@@ -111,6 +111,10 @@ class TestIngestCsv:
         p.write_text("0.1,0.2,0.3\n0.4,0.5,oops\n")
         with pytest.raises(ValueError, match="row 2, column 3"):
             ingest_csv(p)
+        # an undecodable byte is named by its offset in the file
+        p.write_bytes(b"0.1,0.2\n" * 5000 + b"0.3,\xff\n")
+        with pytest.raises(UnicodeDecodeError, match="position 40004"):
+            ingest_csv(p)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_reports_position(self, tmp_path, cell):
@@ -118,6 +122,13 @@ class TestIngestCsv:
         p.write_text(f"0.1,0.2,0.3\n0.4,{cell},0.6\n")
         with pytest.raises(ValueError, match="non-finite cell at row 2, column 2"):
             ingest_csv(p)
+
+    def test_first_bad_cell_in_file_order_is_named(self, tmp_path):
+        # a non-finite cell on row 1 before an unparseable one on row 3
+        p = tmp_path / "order.csv"
+        p.write_text("nan,0.1\n0.2,0.3\n0.4,x\n")
+        want = (ValueError, f"{p}: non-finite cell at row 1, column 1: nan")
+        assert _ingest_outcome(p) == _ingest_outcome(p, slow=True) == want
 
     def test_blank_lines_skipped_and_rows_named_by_file_line(self, tmp_path):
         p = tmp_path / "gaps.csv"
@@ -159,6 +170,13 @@ class TestIngestCsv:
         p.write_text("")
         with pytest.raises(ValueError, match="empty"):
             ingest_csv(p)
+        # whitespace-only too, by both paths, without np.loadtxt's "no data" warning
+        for text in ("\n", "\r\n", "\r", " \t\n\n"):
+            p.write_text(text, newline="")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outcomes = {_ingest_outcome(p), _ingest_outcome(p, slow=True)}
+            assert outcomes == {(ValueError, f"{p}: empty dataset")}
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "ragged.csv"
@@ -699,6 +717,23 @@ class TestEmitOutputs:
         result = run_sweep(cfg, matrix=small_matrix)
         paths = emit_outputs(result, tmp_path / "out")
         assert "plot" not in paths
+
+    @pytest.mark.parametrize(
+        "over", [{"eps": np.float64(0.5)}, {"gamma": np.float64(0.2)}], ids=["eps", "gamma"]
+    )
+    def test_numpy_float_cells_read_back_as_held(self, small_matrix, tmp_path, over):
+        # a numpy eps (from np.linspace, say) makes gamma and the bound numpy
+        # floats, and a set numpy gamma is used as given
+        cfg = ExperimentConfig(d=5, k=2, n=50000, delta=1e-5, trials=2, **over)
+        result = run_sweep(cfg, matrix=small_matrix)
+        assert type(result.summary[0]["gamma"]) is np.float64
+        assert type(result.summary[0]["bound_mse"]) is np.float64
+        paths = emit_outputs(result, tmp_path)
+        for name, held in (("long", result.rows), ("summary", result.summary)):
+            with open(paths[name], newline="") as fh:
+                for got, want in zip(csv.DictReader(fh), held, strict=True):
+                    for column in {"gamma", "bound_mse"} & got.keys():
+                        assert float(got[column]) == want[column]
 
     def test_empty_results_rejected(self, tmp_path):
         from shufflesum import SweepResult
