@@ -1,11 +1,11 @@
 """Exact privacy audit of the full t = 1 mechanism on n all-zero users
 against the same users with a final user of ones.
 
-The shuffled histogram's likelihood ratio depends only on the numbers A
-and B of reports of value 0 and of value k, whose law is trinomial, so
-the hockey-stick divergence delta(eps) = sum max(0, P - e^eps Q) is
-summed exactly, in both directions, over the (n+1)^2 grid of (A, B), for
-any d and k.  No sampling is involved, so the verdict is deterministic.
+The counts A, B and C = n - A - B of reports of 0, of k and of the rest
+are sufficient and trinomial, so the hockey-stick divergence is summed
+exactly over the triangle A + B <= n, for any d and k, from one table of
+log-masses and the closed-form privacy loss.  No sampling is involved,
+so the verdict is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import numpy as np
 
 from .calibration import PrivacyBudget, ProtocolParams
 
-# Largest (A, B) table exact_audit builds, in entries: n <= 3161.
+# exact_audit takes n with (n+1)^2 <= MAX_OUTCOMES, n <= 3161, as when it
+# built square tables: its triangle has half their cells, and the guard
+# keeps the memory that saves instead of spending it on a larger n.
 MAX_OUTCOMES = 10**7
 
 
@@ -31,40 +33,27 @@ class AuditVerdict:
     passed: bool
 
 
-def _trinomial(m: int, probs) -> np.ndarray:
-    """Table of Pr[A = i, B = j] over i, j in 0..m for
-    (A, B, m - A - B) ~ Trinomial(m; probs), from log-factorials; a zero
-    probability raised to a zero count contributes a factor 1."""
-    a, b = np.ogrid[: m + 1, : m + 1]
-    c = m - a - b
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(m + 1)])
-    log_pmf = log_fact[m] - log_fact[a] - log_fact[b] - log_fact[np.maximum(c, 0)]
-    for count, prob in zip(np.broadcast_arrays(a, b, c), probs):
-        if prob > 0.0:
-            log_pmf += count * math.log(prob)
-        else:
-            log_pmf[count > 0] = -math.inf
-    return np.where(c >= 0, np.exp(log_pmf), 0.0)
-
-
 def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
     """Exact hockey-stick audit of the t = 1 mechanism on n all-zero users
     (P) against the same users with a final user of ones (Q).
 
     A report of input 0 is 0 with probability a = 1 - gamma + gamma/(k+1),
     k with b = gamma/(k+1) and another value with c = gamma (k-1)/(k+1);
-    input 1 swaps a and b.  The numbers A, B and C of reports of 0, of k
-    and of the rest are Trinomial(n-1; a, b, c) over the first n - 1 users,
-    and Q/P of the whole histogram is (A b/a + B a/b + C)/n over all n, so
-    delta(eps) = max(sum max(0, P - e^eps Q), the same with P and Q
-    swapped) over the grid of (A, B) equals the histogram's.  The audit
-    passes iff delta(budget.epsilon) <= budget.delta.
+    input 1 swaps a and b.  Under P the counts A, B and C = n - A - B of
+    reports of 0, of k and of the rest are Trinomial(n; a, b, c), built
+    once as log-masses over the triangle A + B <= n.  Q/P is
+    (A b/a + B a/b + C)/n, so the privacy loss log P - log Q is
+    log n - log(A b/a + B a/b + C), summed in logs (finite where a/b
+    overflows), and Q = P e^-loss.  delta(eps) = max(sum max(0, P -
+    e^eps Q), the same with P and Q swapped) equals the histogram's.
+    Where b rounds to 0, P never reports k and Q does with probability
+    a = 1: epsilon is infinite and delta 1.  The audit passes iff
+    delta(budget.epsilon) <= budget.delta.
 
     It also reports the smallest eps with delta(eps) <= budget.delta: 0
     when delta(0) already meets it; infinite when the mass one side puts
     where the other has none exceeds budget.delta, since delta(eps) never
-    falls below that mass; otherwise found by bisection to within 1e-9,
-    from above.
+    falls below that mass; otherwise by bisection, to 1e-9 from above.
     """
     n, k, gamma = params.n, params.k, params.gamma
     if params.t != 1:
@@ -72,18 +61,25 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
     if (n + 1) ** 2 > MAX_OUTCOMES:
         raise ValueError(f"outcome space too large to enumerate ((n+1)^2 entries, n={n})")
     a, b, c = 1.0 - gamma + gamma / (k + 1), gamma / (k + 1), gamma * (k - 1) / (k + 1)
-    rest = _trinomial(n - 1, (a, b, c))
-    tables = []  # P and Q built alike, so at gamma = 1 (a = b) they are equal
-    for zero, top in ((a, b), (b, a)):
-        table = np.zeros((n + 1, n + 1))
-        table[:n, :n] += c * rest
-        table[1:, :n] += zero * rest
-        table[:n, 1:] += top * rest
-        tables.append(table.ravel())
-    reach = (tables[0] > 0) | (tables[1] > 0)
-    p, q = tables[0][reach], tables[1][reach]
-    with np.errstate(divide="ignore"):  # log 0: one side's mass alone
-        loss = np.log(p) - np.log(q)  # finite even where P / Q overflows
+    if b == 0.0:  # P never reports k; Q does with probability a = 1.0
+        return AuditVerdict(math.inf, 1.0, False)
+    A, C = np.triu_indices(n + 1)  # C holds A + B until B is split off
+    B = C - A
+    C = np.subtract(n, C, out=C)
+    counts = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+    shift = math.log(a) - math.log(b)  # log(a/b), finite where a/b is not
+    log_p = np.full(A.shape, log_fact[n])
+    log_sum = np.full(A.shape, -math.inf)  # log(A b/a + B a/b + C)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 and 0 log 0
+        for count, prob, log_weight in ((A, a, -shift), (B, b, shift), (C, c, 0.0)):
+            log_p += (np.where(counts > 0, counts * np.log(prob), 0.0) - log_fact)[count]
+            np.logaddexp(log_sum, (np.log(counts) + log_weight)[count], out=log_sum)
+    del A, B, C
+    loss = np.subtract(math.log(n), log_sum, out=log_sum)
+    p, q = np.exp(log_p), np.exp(log_p - loss)
+    keep = (p > 0) | (q > 0)  # most cells' masses underflow at large n
+    p, q, loss = p[keep], q[keep], loss[keep]
 
     def delta_at(eps):  # sum P max(0, 1 - e^(eps - loss)), and mirrored
         return 0.0 - min(  # 0.0, not -0.0, where P = Q
@@ -96,9 +92,7 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
     elif max(p[q == 0].sum(), q[p == 0].sum()) > budget.delta:
         epsilon = math.inf
     else:
-        # at the largest finite |loss|, delta is only the one-sided mass,
-        # which meets the target (checked above)
-        lo, hi = 0.0, float(np.abs(loss[np.isfinite(loss)]).max())
+        lo, hi = 0.0, float(np.abs(loss).max())  # delta(hi) = 0
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
             if delta_at(mid) <= budget.delta:
@@ -107,8 +101,4 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
                 lo = mid
         epsilon = hi
     delta = delta_at(budget.epsilon)
-    return AuditVerdict(
-        exact_epsilon=epsilon,
-        exact_delta=delta,
-        passed=delta <= budget.delta,
-    )
+    return AuditVerdict(epsilon, delta, delta <= budget.delta)

@@ -393,7 +393,11 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
             fit_x.append(float(value))
             fit_y.append(mean)
     if not any(s["status"] == "ok" for s in result.summary):
-        raise InfeasibleParametersError("no feasible sweep points")
+        reasons = ", ".join(
+            f"{s['axis']}={s['value']} ({s['reason']})" if config.axis else s["reason"]
+            for s in result.summary
+        )
+        raise InfeasibleParametersError(f"no feasible sweep points: {reasons}")
     try:  # fewer than 3 points, constant xs or a zero mean MSE leave no fit
         result.exponent, result.r_squared, result.amplitude = fit_power_law(fit_x, fit_y)
     except ValueError:

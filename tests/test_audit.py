@@ -3,6 +3,7 @@ Chernoff step bounds, and the exact hockey-stick audit, checked against
 the dense outcome table."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -311,6 +312,10 @@ class TestExactAudit:
             (10, 1, 1, 0.0),
             (10, 1, 1, 1.0),
             (9, 1, 4, 0.5),
+            # subnormal gammas whose b = gamma/(k+1) rounds to 0
+            (10, 1, 1, 5e-324),
+            (8, 1, 3, 5e-324),
+            (8, 1, 3, 1e-323),
         ],
     )
     def test_matches_the_dense_outcome_table(self, n, d, k, gamma, eps):
@@ -327,8 +332,8 @@ class TestExactAudit:
         else:
             assert hockey_stick(p, q, found) <= budget.delta * (1 + 1e-12)
             assert found == 0.0 or hockey_stick(p, q, found - 1e-9) > budget.delta
-        if gamma == 0.0:
-            assert found == math.inf and verdict.exact_delta == 1.0
+        if gamma / (k + 1) == 0.0:  # P never reports k, Q does
+            assert found == math.inf and verdict.exact_delta == 1.0 and not verdict.passed
         if gamma == 1.0:
             assert found == 0.0 and verdict.exact_delta == 0.0
 
@@ -374,6 +379,19 @@ class TestExactAudit:
         params = ProtocolParams(d=1, k=1, n=3162, t=1, gamma=0.5)
         with pytest.raises(ValueError, match=r"too large .*n=3162\)"):
             exact_audit(params, self.BUDGET)
+
+    def test_peak_memory_at_the_largest_n(self):
+        # one table over the triangle A + B <= n peaks near 235 MiB here;
+        # square (n+1)^2 P and Q tables take 315 MiB
+        params = ProtocolParams(d=100, k=3, n=3161, t=1, gamma=0.5)
+        tracemalloc.start()
+        try:
+            verdict = exact_audit(params, PrivacyBudget(0.99, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.passed and verdict.exact_epsilon == 0.0
+        assert peak < 256 * 2**20
 
     def test_cli_outcome_space_guard_is_one_error_line(self, capsys):
         argv = ["audit", "--n", "5000", "--d", "100", "--k", "3", "--gamma", "0.5"]

@@ -609,8 +609,13 @@ class TestRunSweep:
 
     def test_all_points_infeasible_raises(self, small_matrix):
         cfg = _small_sweep_config(values=(0.01, 0.02))
-        with pytest.warns(UserWarning), pytest.raises(InfeasibleParametersError):
+        with pytest.warns(UserWarning), pytest.raises(InfeasibleParametersError) as info:
             run_sweep(cfg, matrix=small_matrix)
+        reason = r"t=1 calibration: required blanket probability [\d.]+ is not below 1; [^)]*"
+        assert re.fullmatch(
+            rf"no feasible sweep points: eps=0.01 \({reason}\), eps=0.02 \({reason}\)",
+            str(info.value),
+        )
 
     def test_single_point_run_shape(self, small_matrix):
         cfg = ExperimentConfig(d=5, k=2, n=5000, eps=0.6, delta=1e-4, trials=4, seed=0)
@@ -823,6 +828,19 @@ class TestCli:
             ["params", "--d", "100", "--k", "3", "--n", "2000", "--eps", "0.5", "--delta", "0.1"]
         )
         assert code == 2
+
+    def test_infeasible_run_gives_the_reason_params_gives(self, tmp_path, capsys):
+        data = tmp_path / "x.csv"
+        data.write_text("0.5,0.25,1\n0.75,0.5,0\n")
+        flags = ["--t", "1", "--n", "100", "--d", "5", "--trials", "2"]
+        assert main(["params", *flags]) == 2
+        reason = capsys.readouterr().err.removeprefix("infeasible parameters: ")
+        assert reason.startswith("t=1 calibration: required blanket probability 4.30622 ")
+        with pytest.warns(UserWarning):  # delta >= 1/n
+            assert main(["run", *flags, "--dataset", str(data), "--drop-label"]) == 2
+        assert capsys.readouterr().err == (
+            f"infeasible parameters: no feasible sweep points: {reason}"
+        )
 
     def test_usage_exit_codes(self):
         assert main(["no-such-command"]) == 1
