@@ -3,18 +3,13 @@ shuffle model: local randomizer, trusted-shuffler simulation, analyzer,
 parameter calibration, accuracy bounds, and privacy auditing."""
 
 from .accuracy import (
-    BoundReport,
     TrialResult,
     bound_mse_general,
     bound_mse_t1,
     empirical_mse,
     fit_power_law,
 )
-from .aggregation import (
-    EstimateVector,
-    analyze_arrays,
-    shuffle,
-)
+from .aggregation import analyze_arrays, shuffle
 from .audit import AuditVerdict, exact_audit
 from .calibration import (
     ComposedBudget,

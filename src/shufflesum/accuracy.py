@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import EstimateVector
 from .calibration import PrivacyBudget, ProtocolParams, _branches
 from .exceptions import InfeasibleParametersError
 
@@ -29,43 +28,32 @@ class TrialResult:
     normalized_mse: float
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Closed-form accuracy bound with its regime/branch tag."""
-
-    mse_bound: float
-    branch: str
-
-
-def empirical_mse(
-    estimates: EstimateVector, truth, params: ProtocolParams
-) -> TrialResult:
-    """Per-coordinate squared errors of the debiased sum estimates against
-    the sampled-coordinate true sums, totalled and (d/n)^2-normalized."""
+def empirical_mse(estimates, truth, params: ProtocolParams) -> TrialResult:
+    """Per-coordinate squared errors of the debiased sum estimates (the
+    analyzer's (d,) array) against the sampled-coordinate true sums,
+    totalled and (d/n)^2-normalized."""
     truth = np.asarray(truth, dtype=float)
-    if truth.shape != estimates.values.shape:
+    if truth.shape != estimates.shape:
         raise ValueError(
-            f"truth shape {truth.shape} does not match estimates {estimates.values.shape}"
+            f"truth shape {truth.shape} does not match estimates {estimates.shape}"
         )
-    total = float(((estimates.values - truth) ** 2).sum())
+    total = float(((estimates - truth) ** 2).sum())
     return TrialResult(
         total_squared_error=total,
         normalized_mse=total * (params.d / params.n) ** 2,
     )
 
 
-def _bound(params: ProtocolParams, budget: PrivacyBudget, analysis: str) -> BoundReport:
+def _bound(params: ProtocolParams, budget: PrivacyBudget, analysis: str) -> float:
     if params.gamma >= 1.0:
         raise InfeasibleParametersError("bounds undefined for gamma >= 1")
     d, n, t = params.d, params.n, params.t
     worst = max(math.prod(f, start=c) / den for c, f, den in _branches(budget, t, analysis))
     shape = t * d ** (8.0 / 3.0) / ((1.0 - params.gamma) ** 2 * n ** (5.0 / 3.0))
-    mse = shape * worst ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
-    regime = "high" if budget.high_regime else "low"
-    return BoundReport(mse_bound=mse, branch=f"{regime}-{analysis}")
+    return shape * worst ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
 
 
-def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> BoundReport:
+def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> float:
     """Normalized-MSE upper bound for the general-t mechanism.
 
     Low regime:  2 t d^(8/3) (14 ln(1/delta) ln(2t/delta))^(2/3)
@@ -75,7 +63,7 @@ def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> BoundRep
     return _bound(params, budget, "general")
 
 
-def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> BoundReport:
+def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> float:
     """Tightened normalized-MSE upper bound for t = 1 (max of two branches)."""
     if params.t != 1:
         raise ValueError(f"t=1 bound requested with t={params.t}")

@@ -10,20 +10,10 @@ removes the expected blanket contribution (debiasing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calibration import ProtocolParams
 from .exceptions import InfeasibleParametersError, MalformedMessageError
-
-
-@dataclass(frozen=True)
-class EstimateVector:
-    """Debiased per-coordinate sum estimates plus received counts."""
-
-    values: np.ndarray
-    counts: np.ndarray
 
 
 def shuffle(coords, values, rng: np.random.Generator):
@@ -69,7 +59,7 @@ def _tally(coords, values, params: ProtocolParams):
     return totals, np.bincount(coords.ravel(), minlength=params.d)
 
 
-def _debias(totals, counts, params: ProtocolParams) -> EstimateVector:
+def _debias(totals, counts, params: ProtocolParams) -> np.ndarray:
     """Rescale `_tally`'s totals by 1/k, then remove the expected blanket
     contribution and the 1 - gamma attenuation per coordinate:
 
@@ -82,12 +72,11 @@ def _debias(totals, counts, params: ProtocolParams) -> EstimateVector:
     gamma = params.gamma
     if not (0.0 <= gamma < 1.0):
         raise InfeasibleParametersError(f"debias requires gamma in [0, 1), got {gamma}")
-    return EstimateVector(
-        values=(totals / params.k - (gamma / 2.0) * counts) / (1.0 - gamma), counts=counts
-    )
+    return (totals / params.k - (gamma / 2.0) * counts) / (1.0 - gamma)
 
 
-def analyze_arrays(coords, values, params: ProtocolParams) -> EstimateVector:
-    """The analyzer: `_tally` (the one validator), then `_debias`."""
+def analyze_arrays(coords, values, params: ProtocolParams) -> np.ndarray:
+    """The analyzer: `_tally` (the one validator), then `_debias`.  Returns
+    the float64 (d,) per-coordinate sum estimates."""
     return _debias(*_tally(coords, values, params), params)
 

@@ -1,11 +1,12 @@
-"""Exact privacy audit of the full t = 1 mechanism on n all-zero users
-against the same users with a final user of ones.
+"""Exact privacy audit of the full t = 1 mechanism on one neighbouring
+pair: n all-zero users against the same users with a final user of ones.
 
 The counts A, B and C = n - A - B of reports of 0, of k and of the rest
 are sufficient and trinomial, so the hockey-stick divergence is summed
 exactly over the triangle A + B <= n, for any d and k, from one table of
 log-masses and the closed-form privacy loss.  No sampling is involved,
-so the verdict is deterministic.
+so the verdict is deterministic.  It is exact for this pair only, so its
+epsilon is a lower bound on the mechanism's.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 
 from .calibration import PrivacyBudget, ProtocolParams
 
-# exact_audit takes n with (n+1)^2 <= MAX_OUTCOMES, n <= 3161, as when it
-# built square tables: its triangle has half their cells, and the guard
-# keeps the memory that saves instead of spending it on a larger n.
+# exact_audit takes n with (n+1)^2 <= MAX_OUTCOMES, so n <= 3161, which
+# keeps its peak memory under the 256 MiB that the tests pin.
 MAX_OUTCOMES = 10**7
 
 
@@ -35,13 +35,15 @@ class AuditVerdict:
 
 def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
     """Exact hockey-stick audit of the t = 1 mechanism on n all-zero users
-    (P) against the same users with a final user of ones (Q).
+    (P) against the same users with a final user of ones (Q).  Exact for
+    this pair, it gives a lower bound on the mechanism's epsilon.
 
     A report of input 0 is 0 with probability a = 1 - gamma + gamma/(k+1),
     k with b = gamma/(k+1) and another value with c = gamma (k-1)/(k+1);
     input 1 swaps a and b.  Under P the counts A, B and C = n - A - B of
     reports of 0, of k and of the rest are Trinomial(n; a, b, c), built
-    once as log-masses over the triangle A + B <= n.  Q/P is
+    once as log-masses over the triangle A + B <= n (at k = 1, c = 0 and
+    only its n + 1 cells with C = 0 are reachable).  Q/P is
     (A b/a + B a/b + C)/n, so the privacy loss log P - log Q is
     log n - log(A b/a + B a/b + C), summed in logs (finite where a/b
     overflows), and Q = P e^-loss.  delta(eps) = max(sum max(0, P -
@@ -51,9 +53,11 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
     delta(budget.epsilon) <= budget.delta.
 
     It also reports the smallest eps with delta(eps) <= budget.delta: 0
-    when delta(0) already meets it; infinite when the mass one side puts
-    where the other has none exceeds budget.delta, since delta(eps) never
-    falls below that mass; otherwise by bisection, to 1e-9 from above.
+    when delta(0) already meets it, otherwise by bisection, to 1e-9 from
+    above, from the largest |loss|, where delta is 0.  Where b > 0, Q/P >
+    0, so P and Q share a support and eps is finite; each direction's sum
+    reads its own mass and the loss, so it stays exact where the other
+    side's mass underflows.
     """
     n, k, gamma = params.n, params.k, params.gamma
     if params.t != 1:
@@ -63,7 +67,8 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
     a, b, c = 1.0 - gamma + gamma / (k + 1), gamma / (k + 1), gamma * (k - 1) / (k + 1)
     if b == 0.0:  # P never reports k; Q does with probability a = 1.0
         return AuditVerdict(math.inf, 1.0, False)
-    A, C = np.triu_indices(n + 1)  # C holds A + B until B is split off
+    # C holds A + B until B is split off; at k = 1 (c = 0) only C = 0 occurs
+    A, C = (np.arange(n + 1), np.full(n + 1, n)) if c == 0.0 else np.triu_indices(n + 1)
     B = C - A
     C = np.subtract(n, C, out=C)
     counts = np.arange(n + 1)
@@ -89,8 +94,6 @@ def exact_audit(params: ProtocolParams, budget: PrivacyBudget) -> AuditVerdict:
 
     if delta_at(0.0) <= budget.delta:
         epsilon = 0.0
-    elif max(p[q == 0].sum(), q[p == 0].sum()) > budget.delta:
-        epsilon = math.inf
     else:
         lo, hi = 0.0, float(np.abs(loss).max())  # delta(hi) = 0
         while hi - lo > 1e-9:

@@ -146,6 +146,12 @@ def calibrate_gamma_general(
     gamma = C d k ln(1/delta) ln(2t/delta) / ((n-1) eps^2), with C = 56 in
     the low regime and C = 2016 in the high regime.  Raises
     InfeasibleParametersError when the formula is at least 1.
+
+    In both regimes this is half the t = 1 low-regime 14-rule applied per
+    coordinate, 7 (d/t) k ln(2/delta') / ((n-1) eps'^2), at the per-fold
+    budget (eps', delta') = compose_epsilon_prime(budget, t).  It is not
+    computed that way, since gamma would then move by a few ulps, and the
+    frozen gamma tests assert exact equality.
     """
     return _feasible_gamma(_gamma(budget, d, k, n, t, "general"), "general-t calibration")
 

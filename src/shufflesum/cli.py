@@ -1,10 +1,11 @@
 """Command-line front end: shufflesum <command> [flags].
 
 Commands: params (print calibration), run (single experiment),
-sweep (one-axis sweep), audit (exact privacy audit, n <= 3161),
-ingest-check (validate a dataset file).  The flags, and the keys of a
---config file, are ExperimentConfig's fields (`_` written as `-` in a
-flag); axis and values are for sweep only.
+sweep (one-axis sweep), audit (privacy audit, n <= 3161: exact for n
+all-zero users against a final user of ones, so a lower bound on the
+mechanism's epsilon), ingest-check (validate a dataset file).  The
+flags, and the keys of a --config file, are ExperimentConfig's fields
+(`_` written as `-` in a flag); axis and values are for sweep only.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible parameters,
 3 I/O error, 4 audit failure.

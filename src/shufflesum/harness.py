@@ -357,7 +357,7 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
         params, budget, mode = point
         # the bound of the analysis gamma came from: the tightened t = 1 one
         # only under the t1 calibration, the general one otherwise (manual too)
-        bound = (bound_mse_t1 if mode == "t1" else bound_mse_general)(params, budget).mse_bound
+        bound = (bound_mse_t1 if mode == "t1" else bound_mse_general)(params, budget)
         table = fit_matrix(matrix, params.n, params.d)
         mses = []
         for ti in range(config.trials):

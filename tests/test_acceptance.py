@@ -192,9 +192,7 @@ def test_criterion_08_bound_dominance(request, dataset):
     worst_ratio = 0.0
     all_below = True
     for pi, (params, b) in enumerate(points):
-        bound = (
-            bound_mse_t1(params, b) if params.t == 1 else bound_mse_general(params, b)
-        ).mse_bound
+        bound = bound_mse_t1(params, b) if params.t == 1 else bound_mse_general(params, b)
         data = np.resize(fit_matrix(dataset, params.n, params.d), (params.n, params.d))
         mses = []
         for ti in range(5):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from shufflesum import (
-    EstimateVector,
     InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
@@ -25,24 +24,17 @@ from shufflesum import (
 mpmath.mp.dps = 50
 
 
-def est(values, counts=None):
-    values = np.asarray(values, dtype=float)
-    if counts is None:
-        counts = np.ones_like(values, dtype=np.int64)
-    return EstimateVector(values=values, counts=np.asarray(counts))
-
-
 class TestEmpiricalMse:
     def test_perfect_estimator(self):
         params = ProtocolParams(d=3, k=2, n=30, t=1, gamma=0.1)
-        tr = empirical_mse(est([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0], params)
+        tr = empirical_mse(np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0], params)
         assert tr.total_squared_error == 0.0
         assert tr.normalized_mse == 0.0
 
     def test_single_coordinate_arithmetic(self):
         # one coordinate off by 0.5 with d = n: normalization factor is 1
         params = ProtocolParams(d=2, k=1, n=2, t=1, gamma=0.0)
-        tr = empirical_mse(est([1.5, 1.0]), [1.0, 1.0], params)
+        tr = empirical_mse(np.array([1.5, 1.0]), [1.0, 1.0], params)
         assert tr.total_squared_error == pytest.approx(0.25)
         assert tr.normalized_mse == pytest.approx(0.25)
 
@@ -50,7 +42,7 @@ class TestEmpiricalMse:
         params = ProtocolParams(d=10, k=2, n=500, t=1, gamma=0.2)
         rng = np.random.default_rng(0)
         z, s = rng.random(10), rng.random(10)
-        tr = empirical_mse(est(z), s, params)
+        tr = empirical_mse(z, s, params)
         assert tr.normalized_mse == pytest.approx(
             tr.total_squared_error * (10 / 500) ** 2, rel=1e-15
         )
@@ -61,7 +53,7 @@ class TestEmpiricalMse:
     def test_dimension_mismatch(self):
         params = ProtocolParams(d=3, k=2, n=30, t=1, gamma=0.1)
         with pytest.raises(ValueError):
-            empirical_mse(est([1.0, 2.0, 3.0]), [1.0, 2.0], params)
+            empirical_mse(np.array([1.0, 2.0, 3.0]), [1.0, 2.0], params)
 
     def test_quantization_only_regime_capped(self):
         # gamma=0: the only error is the fixed-point step, variance <= 1/(4k^2)
@@ -94,11 +86,11 @@ def test_bounds_reject_gamma_one(bound):
 class TestBoundMseGeneral:
     def test_homogeneity_in_d_and_n(self):
         b = PrivacyBudget(0.95, 0.5)
-        base = bound_mse_general(_params(), b).mse_bound
-        assert bound_mse_general(_params(d=200), b).mse_bound == pytest.approx(
+        base = bound_mse_general(_params(), b)
+        assert bound_mse_general(_params(d=200), b) == pytest.approx(
             base * 2 ** (8 / 3), rel=1e-12
         )
-        assert bound_mse_general(_params(n=100000), b).mse_bound == pytest.approx(
+        assert bound_mse_general(_params(n=100000), b) == pytest.approx(
             base * 2 ** (-5 / 3), rel=1e-12
         )
 
@@ -115,8 +107,7 @@ class TestBoundMseGeneral:
             )
         )
         got = bound_mse_general(p, b)
-        assert got.mse_bound == pytest.approx(float(oracle), rel=1e-10)
-        assert got.branch == "low-general"
+        assert got == pytest.approx(float(oracle), rel=1e-10)
 
     def test_dual_transcription_high_regime(self):
         p, b = _params(t=2), PrivacyBudget(2.0, 0.1)
@@ -132,13 +123,12 @@ class TestBoundMseGeneral:
             )
         )
         got = bound_mse_general(p, b)
-        assert got.mse_bound == pytest.approx(float(oracle), rel=1e-10)
-        assert got.branch == "high-general"
+        assert got == pytest.approx(float(oracle), rel=1e-10)
 
     def test_linear_in_t_low_regime_shape(self):
         b = PrivacyBudget(0.5, 0.1)
-        one = bound_mse_general(_params(t=1), b).mse_bound
-        three = bound_mse_general(_params(t=3), b).mse_bound
+        one = bound_mse_general(_params(t=1), b)
+        three = bound_mse_general(_params(t=3), b)
         ratio = 3 * (math.log(6 / 0.1) / math.log(2 / 0.1)) ** (2 / 3)
         assert three / one == pytest.approx(ratio, rel=1e-12)
 
@@ -150,8 +140,8 @@ class TestBoundMseT1:
 
     def test_homogeneity_in_d(self):
         b = PrivacyBudget(0.95, 0.5)
-        base = bound_mse_t1(_params(), b).mse_bound
-        assert bound_mse_t1(_params(d=200), b).mse_bound == pytest.approx(
+        base = bound_mse_t1(_params(), b)
+        assert bound_mse_t1(_params(d=200), b) == pytest.approx(
             base * 2 ** (8 / 3), rel=1e-12
         )
 
@@ -172,8 +162,7 @@ class TestBoundMseT1:
         )
         second = 18 / (4 * mpmath.mpf("0.95")) ** mpmath.mpf("2/3")
         oracle = float(shape * max(first, second))
-        assert got.mse_bound == pytest.approx(oracle, rel=1e-10)
-        assert got.branch == "low-t1"
+        assert got == pytest.approx(oracle, rel=1e-10)
 
     def test_high_regime_branch_and_value(self):
         p, b = _params(gamma=0.3), PrivacyBudget(2.0, 0.1)
@@ -183,21 +172,17 @@ class TestBoundMseT1:
             2 * (20 * math.log(20)) ** (2 / 3) / 2 ** (4 / 3),
             2 * 9 ** (2 / 3) / 22 ** (2 / 3),
         )
-        assert got.mse_bound == pytest.approx(expected, rel=1e-12)
-        assert got.branch == "high-t1"
+        assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.3, 0.6, 0.95, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
     def test_never_above_general_bound_at_t1(self, eps, delta):
         p, b = _params(gamma=0.25), PrivacyBudget(eps, delta)
-        assert (
-            bound_mse_t1(p, b).mse_bound
-            <= bound_mse_general(p, b).mse_bound * (1 + 1e-12)
-        )
+        assert bound_mse_t1(p, b) <= bound_mse_general(p, b) * (1 + 1e-12)
 
 
 def bound_sigma(params, budget):
-    """(sigma, branch): the standard-deviation bound, transcribed from the
+    """The standard-deviation bound, transcribed from the
     paper's displayed sigma formulas directly rather than derived from the
     MSE evaluators, as an independent check on their transcription."""
     d, n, t = params.d, params.n, params.t
@@ -211,18 +196,18 @@ def bound_sigma(params, budget):
                 2.0 ** 0.5 * (20.0 * log2d) ** (1.0 / 3.0) / eps ** (2.0 / 3.0),
                 2.0 ** 0.5 * 9.0 ** (1.0 / 3.0) / (11.0 * eps) ** (1.0 / 3.0),
             )
-            return sigma, "high-t1"
+            return sigma
         sigma = (d43 / denom) * max(
             98.0 ** (1.0 / 6.0) * log2d ** (1.0 / 3.0) / eps ** (2.0 / 3.0),
             18.0 ** 0.5 / (4.0 * eps) ** (1.0 / 3.0),
         )
-        return sigma, "low-t1"
+        return sigma
     loglog = math.log(1.0 / delta) * math.log(2.0 * t / delta)
     if budget.high_regime:
-        lead, inner, branch = (8.0 * t) ** 0.5, 63.0 * loglog, "high-general"
+        lead, inner = (8.0 * t) ** 0.5, 63.0 * loglog
     else:
-        lead, inner, branch = (2.0 * t) ** 0.5, 14.0 * loglog, "low-general"
-    return lead * d43 * inner ** (1.0 / 3.0) / (denom * eps ** (2.0 / 3.0)), branch
+        lead, inner = (2.0 * t) ** 0.5, 14.0 * loglog
+    return lead * d43 * inner ** (1.0 / 3.0) / (denom * eps ** (2.0 / 3.0))
 
 
 class TestBoundSigma:
@@ -238,16 +223,13 @@ class TestBoundSigma:
             p = ProtocolParams(d=d, k=3, n=n, t=t, gamma=gamma)
             b = PrivacyBudget(eps, delta)
             mse = bound_mse_t1(p, b) if t == 1 else bound_mse_general(p, b)
-            sigma, branch = bound_sigma(p, b)
-            assert sigma == pytest.approx(math.sqrt(mse.mse_bound), rel=1e-12)
-            assert branch == mse.branch
+            assert bound_sigma(p, b) == pytest.approx(math.sqrt(mse), rel=1e-12)
 
     def test_defaults_finite_positive(self):
-        sigma, branch = bound_sigma(
-            _params(gamma=0.17052972638400138), PrivacyBudget(0.95, 0.5)
-        )
+        p, b = _params(gamma=0.17052972638400138), PrivacyBudget(0.95, 0.5)
+        sigma = bound_sigma(p, b)
         assert 0 < sigma < math.inf
-        assert branch == "low-t1"
+        assert sigma == pytest.approx(math.sqrt(bound_mse_t1(p, b)), rel=1e-12)
 
 
 class TestEmpiricalBelowBound:
@@ -257,7 +239,7 @@ class TestEmpiricalBelowBound:
         b = PrivacyBudget(0.95, 0.5)
         gamma = calibrate_gamma_t1(b, d, 2, n)
         params = ProtocolParams(d=d, k=2, n=n, t=1, gamma=gamma)
-        bound = bound_mse_t1(params, b).mse_bound
+        bound = bound_mse_t1(params, b)
         matrix = np.random.default_rng(2).random((n, d)) * 0.3
         below = 0
         trials = 40
@@ -277,7 +259,7 @@ class TestEmpiricalBelowBound:
         k = choose_k_general(b, d, n, t)
         gamma = calibrate_gamma_general(b, d, k, n, t)
         params = ProtocolParams(d=d, k=k, n=n, t=t, gamma=gamma)
-        bound = bound_mse_general(params, b).mse_bound
+        bound = bound_mse_general(params, b)
         matrix = np.random.default_rng(3).random((n, d)) * 0.2
         for seed in range(5):
             rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -215,6 +216,46 @@ def binomial_pair_delta(n, gamma, eps):
     )
 
 
+def mpmath_pair_epsilon(n, k, gamma, budget):
+    """(smallest epsilon meeting budget.delta, delta at budget.epsilon) of the
+    audited pair, at 60 digits.  P is Trinomial(n; a, b, c) over the counts
+    of reports of 0, of k and of the rest; Q mixes the final user's report
+    (0 with probability b, k with a, the rest with c) into Trinomial(n-1).
+    Epsilon is bisected to 1e-15."""
+    with mpmath.workdps(60):
+        g = mpmath.mpf(gamma)
+        a, b, c = 1 - g + g / (k + 1), g / (k + 1), g * (k - 1) / (k + 1)
+
+        def tri(m, i, j):
+            if min(i, j, m - i - j) < 0:
+                return mpmath.mpf(0)
+            l = m - i - j
+            return mpmath.factorial(m) / (
+                mpmath.factorial(i) * mpmath.factorial(j) * mpmath.factorial(l)
+            ) * a**i * b**j * c**l
+
+        cells = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+        p = [tri(n, i, j) for i, j in cells]
+        q = [b * tri(n - 1, i - 1, j) + a * tri(n - 1, i, j - 1) + c * tri(n - 1, i, j)
+             for i, j in cells]
+
+        def delta_at(eps):
+            w = mpmath.exp(eps)
+            return max(
+                sum(max(0, x - w * y) for x, y in zip(p, q)),
+                sum(max(0, y - w * x) for x, y in zip(p, q)),
+            )
+
+        target = mpmath.mpf(budget.delta)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(2000)
+        if delta_at(lo) <= target:
+            hi = lo
+        while hi - lo > mpmath.mpf("1e-15"):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if delta_at(mid) <= target else (mid, hi)
+        return float(hi), float(delta_at(mpmath.mpf(budget.epsilon)))
+
+
 def outcome_distribution(matrix, params: ProtocolParams) -> np.ndarray:
     """Exact distribution of the shuffled t = 1 mechanism's output on
     `matrix`: the histogram of received values over the d (k+1) cells,
@@ -344,6 +385,21 @@ class TestExactAudit:
         got = exact_audit(params, PrivacyBudget(eps, 0.1)).exact_delta
         assert got == pytest.approx(binomial_pair_delta(500, gamma, eps), rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "n, k, gamma, eps, delta",
+        [
+            (40, 2, 0.3, 0.5, 1e-9),  # k > 1 beyond the dense table's reach
+            # p underflows on cells where q does not, yet the supports agree
+            (2, 1, 1e-200, 0.5, 1e-300),
+        ],
+    )
+    def test_matches_the_mpmath_oracle(self, n, k, gamma, eps, delta):
+        budget = PrivacyBudget(eps, delta)
+        verdict = exact_audit(ProtocolParams(d=1, k=k, n=n, t=1, gamma=gamma), budget)
+        epsilon, delta_at_eps = mpmath_pair_epsilon(n, k, gamma, budget)
+        assert verdict.exact_epsilon == pytest.approx(epsilon, rel=0.0, abs=1e-9)
+        assert verdict.exact_delta == pytest.approx(delta_at_eps, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("gamma", [0.01, 0.2, 0.6])
     def test_verdict_does_not_depend_on_d(self, gamma):
         budget = PrivacyBudget(0.5, 0.05)
@@ -392,6 +448,20 @@ class TestExactAudit:
             tracemalloc.stop()
         assert verdict.passed and verdict.exact_epsilon == 0.0
         assert peak < 256 * 2**20
+
+    def test_peak_memory_at_k1_is_linear_in_n(self):
+        # at k = 1 no report is "the rest", so only the n + 1 cells with
+        # C = 0 are built; the whole triangle gave the same epsilon, at a
+        # 229 MiB peak
+        params = ProtocolParams(d=100, k=1, n=3161, t=1, gamma=0.5)
+        tracemalloc.start()
+        try:
+            verdict = exact_audit(params, PrivacyBudget(0.5, 1e-6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.passed and verdict.exact_epsilon == pytest.approx(0.0749670, abs=1e-6)
+        assert peak < 16 * 2**20
 
     def test_cli_outcome_space_guard_is_one_error_line(self, capsys):
         argv = ["audit", "--n", "5000", "--d", "100", "--k", "3", "--gamma", "0.5"]

@@ -254,6 +254,20 @@ class TestCalibrateGammaGeneral:
             4 * base, rel=1e-12
         )
 
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.95, 1.0, 2.0, 5.9])
+    @pytest.mark.parametrize("delta", [1e-9, 1e-4, 0.1, 0.5])
+    @pytest.mark.parametrize("t", [1, 2, 5, 37])
+    def test_is_half_the_t1_rule_per_coordinate(self, eps, delta, t):
+        # in both regimes: half the t = 1 low-regime 14-rule at the per-fold
+        # budget that compose_epsilon_prime gives, with d/t coordinates per fold
+        d, k, n = 37, 3, 10**15
+        budget = PrivacyBudget(eps, delta)
+        fold = compose_epsilon_prime(budget, t)
+        rule = 14 * (d / t) * k * math.log(2 / fold.delta_prime) / (
+            (n - 1) * fold.epsilon_prime**2
+        )
+        assert calibrate_gamma_general(budget, d, k, n, t) == pytest.approx(rule / 2, rel=1e-12)
+
     @given(n=st.integers(10_001, 10**7))
     def test_monotone_decreasing_in_n(self, n):
         b = PrivacyBudget(0.5, 0.1)

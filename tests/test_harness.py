@@ -409,9 +409,9 @@ class TestRunTrial:
         monkeypatch.setattr(randomizer, "BLOCK_ENTRIES", 18)
         debiased = []
 
-        def spy(*args):
-            debiased.append(aggregation._debias(*args))
-            return debiased[-1]
+        def spy(totals, counts, params):
+            debiased.append((counts, aggregation._debias(totals, counts, params)))
+            return debiased[-1][1]
 
         monkeypatch.setattr(harness, "_debias", spy)
         raw = np.random.default_rng(4).random((7, 6))
@@ -424,8 +424,9 @@ class TestRunTrial:
             truth = np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
             est = analyze_arrays(*shuffle(coords, values, rng), params)
             got = run_trial(raw, params, np.random.default_rng(seed))
-            assert np.array_equal(debiased[-1].values, est.values)
-            assert np.array_equal(debiased[-1].counts, est.counts)
+            counts, estimates = debiased[-1]
+            assert np.array_equal(estimates, est)
+            assert np.array_equal(counts, np.bincount(coords.ravel(), minlength=params.d))
             want = empirical_mse(est, truth, params).normalized_mse
             assert got.normalized_mse == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -632,12 +633,12 @@ class TestRunSweep:
         with pytest.warns(UserWarning):  # delta >= 1/n
             (point,) = run_sweep(cfg, matrix=dataset).summary
         params, budget, _ = resolve_point(cfg)
-        assert point["bound_mse"] == bound_mse_general(params, budget).mse_bound
+        assert point["bound_mse"] == bound_mse_general(params, budget)
         assert point["mean_normalized_mse"] <= point["bound_mse"]
         manual = replace(cfg, calibration="auto", gamma=params.gamma, trials=1)
         with pytest.warns(UserWarning):
             (point,) = run_sweep(manual, matrix=dataset).summary
-        assert point["bound_mse"] == bound_mse_general(params, budget).mse_bound
+        assert point["bound_mse"] == bound_mse_general(params, budget)
 
     def test_sweep_isolation_and_exponent(self, small_matrix):
         cfg = _small_sweep_config(

@@ -5,9 +5,9 @@ import shlex
 from contextlib import nullcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shufflesum import EstimateVector
 from shufflesum.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -18,10 +18,10 @@ def test_quick_example_runs():
     (example,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     namespace = {}
     exec(compile(example, str(README), "exec"), namespace)
-    estimates = namespace["estimates"]
-    assert isinstance(estimates, EstimateVector)
-    assert estimates.values.shape == (namespace["d"],)
-    assert estimates.counts.sum() == namespace["n"]
+    estimates, d = namespace["estimates"], namespace["d"]
+    assert isinstance(estimates, np.ndarray) and estimates.dtype == np.float64
+    assert estimates.shape == (d,)
+    assert np.bincount(namespace["coords"].ravel(), minlength=d).sum() == namespace["n"]
 
 
 def cli_examples():

@@ -1,6 +1,7 @@
 """The package's public surface stays lean: every function it exports has a
-caller in another module or a stated use in the README, and every private
-module-level function is referenced beyond its own def."""
+caller in another module or a stated use in the README, every private
+module-level function is referenced beyond its own def, and every field
+of a dataclass is read somewhere."""
 
 import ast
 import re
@@ -56,6 +57,27 @@ def idle_exports(sources, readme):
     ]
 
 
+def unread_fields(sources):
+    """"Class.field" for each field of a dataclass in sources that no module
+    reads as an attribute.  The check goes by name, so a field that shares
+    its name with an attribute read elsewhere (say `values`) passes even if
+    no one reads it."""
+    fields, read = [], set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
+            ):
+                fields += [
+                    (node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return sorted(f"{owner}.{name}" for owner, name in fields if name not in read)
+
+
 def _package():
     return {path.name: path.read_text() for path in SRC.glob("*.py")}
 
@@ -76,6 +98,26 @@ def test_finds_idle_functions():
     assert idle_exports(sources, "Use `documented()` for that.") == ["idle"]
     private = ["_helper", "_idle", "by_attribute"]
     assert unreferenced(sources, private) == ["_idle"]
+
+
+def test_finds_unread_fields():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n\n"
+            "@dataclass(frozen=True)\nclass Report:\n    value: float\n    label: str\n\n"
+            "@dataclass\nclass Stored:\n    kept: int\n\n"
+            "class Plain:\n    ignored: int\n\n"
+            "def use(r, s):\n    s.kept = r.label\n    return r.value\n"
+        ),
+        "b.py": "def later(s):\n    return s.kept\n",
+    }
+    assert unread_fields(sources) == []
+    sources["b.py"] = "def later(s):\n    s.kept = 0\n"
+    assert unread_fields(sources) == ["Stored.kept"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(_package()) == []
 
 
 def test_every_exported_function_has_a_caller_or_a_stated_use():
