@@ -1,33 +1,32 @@
 """Differentially private summation of real vectors in the single-message
 shuffle model: local randomizer, trusted-shuffler simulation, analyzer,
-parameter calibration, accuracy bounds, and privacy auditing."""
+parameter calibration with its accuracy bounds, privacy auditing, and an
+experiment harness that scores trials and fits power laws."""
 
-from .accuracy import (
-    TrialResult,
-    bound_mse_general,
-    bound_mse_t1,
-    empirical_mse,
-    fit_power_law,
-)
-from .aggregation import analyze_arrays, shuffle
+from .aggregation import MalformedMessageError, analyze_arrays, shuffle
 from .audit import AuditVerdict, exact_audit
 from .calibration import (
     ComposedBudget,
+    InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
+    bound_mse_general,
+    bound_mse_t1,
     calibrate_gamma_general,
     calibrate_gamma_t1,
     choose_k_general,
     choose_k_t1,
     compose_epsilon_prime,
 )
-from .exceptions import InfeasibleParametersError, MalformedMessageError
 from .harness import (
     DatasetMatrix,
     ExperimentConfig,
     SweepResult,
+    TrialResult,
     emit_outputs,
+    empirical_mse,
     fit_matrix,
+    fit_power_law,
     ingest_csv,
     resolve_point,
     run_sweep,

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import ProtocolParams
-from .exceptions import InfeasibleParametersError, MalformedMessageError
+from .calibration import InfeasibleParametersError, ProtocolParams
+
+
+class MalformedMessageError(ValueError):
+    """A submitted message violates the protocol's wire format."""
 
 
 def shuffle(coords, values, rng: np.random.Generator):

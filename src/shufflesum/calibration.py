@@ -1,11 +1,15 @@
-"""Privacy-budget handling and mechanism parameter calibration.
+"""Privacy-budget handling, mechanism parameter calibration and the
+closed-form accuracy bounds.
 
 Everything here is a pure function of its arguments.  The blanket
 probability gamma is the fraction of randomized-response submissions
 replaced by uniform noise.  One table, `_branches`, holds the paper's
 constants for the t = 1 and general-t analyses in the low (epsilon < 1)
 and high (1 <= epsilon < 6) regimes; gamma, k and the accuracy bounds
-all derive from it.  Budgets with epsilon >= 6 are rejected.
+all derive from it.  Where gamma is max c d k F / ((n-1) D), the
+normalized-MSE bound is
+t d^(8/3) max (c F / D)^(2/3) / (2^(1/3) (1-gamma)^2 n^(5/3)).
+Budgets with epsilon >= 6 are rejected.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-
-from .exceptions import InfeasibleParametersError
 
 EPSILON_MAX = 6.0
 
@@ -102,6 +104,12 @@ def _check_dims(d: int, n: int, t: int, k: int = 1):
         raise ValueError(f"n must be >= 2, got {n}")
     if not (1 <= t <= d):
         raise ValueError(f"t must be in [1, d], got t={t}, d={d}")
+
+
+class InfeasibleParametersError(ValueError):
+    """A blanket probability gamma of at least 1, which would make the output
+    pure noise: one that a calibrator requires or one that is set (in
+    `resolve_point`, the bound evaluators or the analyzer).  Never clamped."""
 
 
 def _feasible_gamma(gamma: float, context: str) -> float:
@@ -198,3 +206,29 @@ def choose_k_t1(budget: PrivacyBudget, d: int, n: int) -> int:
         for c, factors, den in _branches(budget, 1, "t1")
     )
     return max(1, int(math.floor(value + 0.5)))  # round half up, k >= 1
+
+
+def _bound(params: ProtocolParams, budget: PrivacyBudget, analysis: str) -> float:
+    if params.gamma >= 1.0:
+        raise InfeasibleParametersError("bounds undefined for gamma >= 1")
+    d, n, t = params.d, params.n, params.t
+    worst = max(math.prod(f, start=c) / den for c, f, den in _branches(budget, t, analysis))
+    shape = t * d ** (8.0 / 3.0) / ((1.0 - params.gamma) ** 2 * n ** (5.0 / 3.0))
+    return shape * worst ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
+
+
+def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> float:
+    """Normalized-MSE upper bound for the general-t mechanism.
+
+    Low regime:  2 t d^(8/3) (14 ln(1/delta) ln(2t/delta))^(2/3)
+                 / ((1-gamma)^2 n^(5/3) eps^(4/3))
+    High regime: same shape with 8 t (63 ...)^(2/3).
+    """
+    return _bound(params, budget, "general")
+
+
+def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> float:
+    """Tightened normalized-MSE upper bound for t = 1 (max of two branches)."""
+    if params.t != 1:
+        raise ValueError(f"t=1 bound requested with t={params.t}")
+    return _bound(params, budget, "t1")

@@ -17,8 +17,7 @@ import argparse
 import sys
 
 from .audit import exact_audit
-from .calibration import compose_epsilon_prime
-from .exceptions import InfeasibleParametersError
+from .calibration import InfeasibleParametersError, compose_epsilon_prime
 from .harness import (
     CHOICES,
     SETTING_TYPES,

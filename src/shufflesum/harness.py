@@ -1,5 +1,10 @@
-"""Experiment harness: dataset ingestion, seeded trial execution, and
-parameter sweeps with CSV emission.
+"""Experiment harness: dataset ingestion, seeded trial execution and
+scoring, parameter sweeps with power-law fits, and CSV emission.
+
+A trial is scored against the sampled-coordinate true sum: for each
+coordinate l, the sum of x_i^(l) over exactly those users that sampled l
+in the trial.  The normalized MSE scales the total squared error by
+(d/n)^2.
 
 A sweep varies exactly one axis (t, k, d, n or eps) while every other
 parameter stays at its configured value.  Per sweep point the blanket
@@ -21,24 +26,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; every run seeds its trials with it
 
-from .accuracy import (
-    TrialResult,
-    bound_mse_general,
-    bound_mse_t1,
-    empirical_mse,
-    fit_power_law,
-)
 from .aggregation import _debias, _tally
 from .calibration import (
+    InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
     _check_integer,
+    bound_mse_general,
+    bound_mse_t1,
     calibrate_gamma_general,
     calibrate_gamma_t1,
     choose_k_general,
     choose_k_t1,
 )
-from .exceptions import InfeasibleParametersError
 from .randomizer import _randomize_rows
 
 SWEEP_AXES = ("t", "k", "d", "n", "eps")
@@ -152,6 +152,14 @@ class SweepResult:
     amplitude: float | None = None
 
 
+@dataclass(frozen=True)
+class TrialResult:
+    """Squared-error summary of a single protocol run."""
+
+    total_squared_error: float
+    normalized_mse: float
+
+
 def _read_cells(path) -> np.ndarray:
     """`ingest_csv`'s per-cell reader: the only one that reads quoted cells,
     "1_0" and whitespace-only lines, and that names an error's position."""
@@ -260,6 +268,22 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def empirical_mse(estimates, truth, params: ProtocolParams) -> TrialResult:
+    """Per-coordinate squared errors of the debiased sum estimates (the
+    analyzer's (d,) array) against the sampled-coordinate true sums,
+    totalled and (d/n)^2-normalized."""
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != estimates.shape:
+        raise ValueError(
+            f"truth shape {truth.shape} does not match estimates {estimates.shape}"
+        )
+    total = float(((estimates - truth) ** 2).sum())
+    return TrialResult(
+        total_squared_error=total,
+        normalized_mse=total * (params.d / params.n) ** 2,
+    )
+
+
 def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialResult:
     """One full protocol round: randomize every user, analyze, and score
     against the sampled-coordinate true sums.
@@ -310,6 +334,30 @@ def resolve_point(config: ExperimentConfig, value=None):
     return params, budget, mode
 
 
+def fit_power_law(xs, ys):
+    """Least-squares fit of log y on log x.
+
+    Returns (exponent, r_squared, amplitude), with y ~ amplitude x^exponent.
+    Requires at least 3 strictly positive points and non-constant xs.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ValueError("xs and ys must be 1-d arrays of equal length")
+    if xs.size < 3:
+        raise ValueError(f"need at least 3 points, got {xs.size}")
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise ValueError("all points must be strictly positive")
+    lx, ly = np.log(xs), np.log(ys)
+    if np.allclose(lx, lx[0]):
+        raise ValueError("degenerate fit: xs are constant")
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float((resid**2).sum()) / ss_tot
+    return float(slope), r_squared, float(np.exp(intercept))
+
+
 def _summary_row(label, status: str, **fields) -> dict:
     """One summary.csv row; the columns a point did not reach stay empty."""
     return {**dict.fromkeys(SUMMARY_HEADER, ""), **label, "status": status, **fields}
@@ -331,9 +379,10 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValueError(f"matrix must be 2-D with rows and columns, got shape {matrix.shape}")
-    # 1/n is smallest at the largest n the sweep runs
+    # 1/n is smallest at the largest n the sweep runs; an n_max <= 0 is
+    # refused by resolve_point below
     n_max = max(config.values) if config.axis == "n" else config.n
-    if config.delta >= 1.0 / n_max:
+    if n_max > 0 and config.delta >= 1.0 / n_max:
         warnings.warn(
             f"delta = {config.delta:g} is large relative to 1/n = {1.0 / n_max:g}",
             stacklevel=2,

@@ -23,13 +23,13 @@ from shufflesum import (
     choose_k_t1,
     compose_epsilon_prime,
     emit_outputs,
+    empirical_mse,
     exact_audit,
     fit_matrix,
     randomize_batch,
     run_sweep,
 )
 from shufflesum.aggregation import analyze_arrays
-from shufflesum.accuracy import empirical_mse
 
 MASTER_SEED = 0
 

@@ -848,6 +848,26 @@ class TestCli:
         assert main(["sweep", "--d", "5"]) == 1  # missing axis/values
         assert main(["run", "--d", "not-an-int"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["run", "--n", "0"], 0),
+            (["sweep", "--axis", "n", "--values", "0,-5"], 0),
+            (["run", "--n", "-3"], -3),
+        ],
+        ids=["run-n0", "sweep-n0", "run-n-3"],
+    )
+    def test_nonpositive_n_is_a_usage_error(self, tmp_path, capsys, argv, n):
+        # no 1/n is taken before the points are checked: no ZeroDivisionError,
+        # and no delta warning that quotes a negative 1/n
+        data = tmp_path / "x.csv"
+        data.write_text("0.5,0.25\n0.75,0.5\n")
+        flags = ["--d", "2", "--k", "1", "--trials", "1", "--dataset", str(data)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, *flags]) == 1
+        assert capsys.readouterr().err == f"error: n must be >= 2, got {n}\n"
+
     def test_io_exit_code(self, tmp_path):
         code = main(
             ["run", "--dataset", str(tmp_path / "missing.csv"), "--trials", "1"]

@@ -1,5 +1,7 @@
-"""The README's Python quick example and CLI examples run as written."""
+"""The README's Python quick example and CLI examples run as written, and
+the modules it names exist."""
 
+import importlib.util
 import re
 import shlex
 from contextlib import nullcontext
@@ -22,6 +24,13 @@ def test_quick_example_runs():
     assert isinstance(estimates, np.ndarray) and estimates.dtype == np.float64
     assert estimates.shape == (d,)
     assert np.bincount(namespace["coords"].ravel(), minlength=d).sum() == namespace["n"]
+
+
+def test_named_modules_exist():
+    # a module folded into another must not keep its overview bullet
+    names = re.findall(r"`shufflesum\.(\w+)`", README.read_text())
+    missing = [name for name in names if importlib.util.find_spec(f"shufflesum.{name}") is None]
+    assert names and missing == []
 
 
 def cli_examples():

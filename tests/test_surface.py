@@ -1,7 +1,8 @@
 """The package's public surface stays lean: every function it exports has a
 caller in another module or a stated use in the README, every private
-module-level function is referenced beyond its own def, and every field
-of a dataclass is read somewhere."""
+module-level function is referenced beyond its own def, every field of a
+dataclass is read somewhere, and a private name crosses modules only as
+listed."""
 
 import ast
 import re
@@ -9,6 +10,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shufflesum"
 README = SRC.parents[1] / "README.md"
+
+
+# Each underscore name that one module of the package imports from another,
+# with the reason it is shared rather than kept behind its module.
+PRIVATE_IMPORTS = {
+    "harness <- aggregation._tally": "run_trial tallies each block and debiases once",
+    "harness <- aggregation._debias": "run_trial tallies each block and debiases once",
+    "harness <- randomizer._randomize_rows": "the block generator of run_trial",
+    "harness <- calibration._check_integer": "the integer rule for settings",
+}
 
 
 def _functions(sources):
@@ -78,6 +89,19 @@ def unread_fields(sources):
     return sorted(f"{owner}.{name}" for owner, name in fields if name not in read)
 
 
+def private_imports(sources):
+    """"importer <- module._name" for each underscore name that a module of
+    sources imports from a sibling (`from .module import _name`)."""
+    return sorted(
+        f"{Path(importer).stem} <- {node.module}.{alias.name}"
+        for importer, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
 def _package():
     return {path.name: path.read_text() for path in SRC.glob("*.py")}
 
@@ -114,6 +138,18 @@ def test_finds_unread_fields():
     assert unread_fields(sources) == []
     sources["b.py"] = "def later(s):\n    s.kept = 0\n"
     assert unread_fields(sources) == ["Stored.kept"]
+
+
+def test_finds_private_imports():
+    sources = {
+        "a.py": "from .b import _hidden, shown\nfrom numpy import _private\n",
+        "b.py": "from __future__ import annotations\nfrom .a import _first as first\n",
+    }
+    assert private_imports(sources) == ["a <- b._hidden", "b <- a._first"]
+
+
+def test_private_names_cross_modules_only_as_listed():
+    assert private_imports(_package()) == sorted(PRIVATE_IMPORTS)
 
 
 def test_every_dataclass_field_is_read():
