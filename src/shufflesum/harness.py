@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 import typing
 import warnings
 from dataclasses import dataclass, field, replace
@@ -145,11 +146,15 @@ class DatasetMatrix:
 
 @dataclass
 class SweepResult:
+    """`rows` holds one dict per (point, trial); `summary` one per point, its
+    one record, with only what the point reached.  `exponent` and `r_squared`
+    are the power-law fit of a d, n or eps sweep (None without one), whose
+    ok points also hold the fitted curve's value as "fitted"."""
+
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
     exponent: float | None = None
     r_squared: float | None = None
-    amplitude: float | None = None
 
 
 @dataclass(frozen=True)
@@ -358,11 +363,6 @@ def fit_power_law(xs, ys):
     return float(slope), r_squared, float(np.exp(intercept))
 
 
-def _summary_row(label, status: str, **fields) -> dict:
-    """One summary.csv row; the columns a point did not reach stay empty."""
-    return {**dict.fromkeys(SUMMARY_HEADER, ""), **label, "status": status, **fields}
-
-
 def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     """Execute all sweep points.  `matrix` overrides config.dataset with an
     already-normalized raw matrix (rows x features, entries in [0, 1]).
@@ -397,11 +397,10 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
         except InfeasibleParametersError as exc:
             resolved.append(exc)
     result = SweepResult()
-    fit_x, fit_y = [], []
     for pi, (value, point) in enumerate(zip(points, resolved)):
         label = {"axis": config.axis or "none", "value": "" if value is None else value}
         if isinstance(point, InfeasibleParametersError):
-            result.summary.append(_summary_row(label, "skipped", trials=0, reason=str(point)))
+            result.summary.append(dict(label, status="skipped", trials=0, reason=str(point)))
             continue
         params, budget, mode = point
         # the bound of the analysis gamma came from: the tightened t = 1 one
@@ -427,30 +426,28 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
         mean = float(mses.mean())
         stderr = float(mses.std(ddof=1) / math.sqrt(len(mses))) if len(mses) > 1 else 0.0
         result.summary.append(
-            _summary_row(
-                label,
-                "ok",
-                k=params.k,
-                gamma=params.gamma,
-                trials=config.trials,
-                mean_normalized_mse=mean,
-                stderr_normalized_mse=stderr,
-                bound_mse=bound,
+            dict(
+                label, status="ok", k=params.k, gamma=params.gamma, trials=config.trials,
+                mean_normalized_mse=mean, stderr_normalized_mse=stderr, bound_mse=bound,
             )
         )
-        if config.axis in FITTED_AXES:
-            fit_x.append(float(value))
-            fit_y.append(mean)
-    if not any(s["status"] == "ok" for s in result.summary):
+    ok = [s for s in result.summary if s["status"] == "ok"]
+    if not ok:
         reasons = ", ".join(
             f"{s['axis']}={s['value']} ({s['reason']})" if config.axis else s["reason"]
             for s in result.summary
         )
         raise InfeasibleParametersError(f"no feasible sweep points: {reasons}")
-    try:  # fewer than 3 points, constant xs or a zero mean MSE leave no fit
-        result.exponent, result.r_squared, result.amplitude = fit_power_law(fit_x, fit_y)
-    except ValueError:
-        pass
+    if config.axis in FITTED_AXES:
+        xs = [float(s["value"]) for s in ok]
+        try:  # fewer than 3 points, constant xs or a zero mean MSE leave no fit
+            result.exponent, result.r_squared, amplitude = fit_power_law(
+                xs, [s["mean_normalized_mse"] for s in ok]
+            )
+        except ValueError:
+            return result
+        for s, x in zip(ok, xs):
+            s["fitted"] = amplitude * x**result.exponent
     return result
 
 
@@ -466,11 +463,10 @@ def emit_outputs(result: SweepResult, out_dir):
 
     long.csv holds one row per (point, trial) with the seed needed to
     replay it; summary.csv one row per point (skipped points included);
-    plot.csv the per-point mean/stderr plus the fitted power-law curve
-    when an exponent was fitted.
+    plot.csv the mean/stderr and fitted power-law curve of the points that
+    carry one.  Without such points, a plot.csv left by an earlier output
+    is removed.
     """
-    import os
-
     if not result.rows:
         raise ValueError("nothing to emit: empty results")
     os.makedirs(out_dir, exist_ok=True)
@@ -480,11 +476,13 @@ def emit_outputs(result: SweepResult, out_dir):
     }
     _write_csv(paths["long"], LONG_HEADER, result.rows)
     _write_csv(paths["summary"], SUMMARY_HEADER, result.summary)
-    if result.exponent is not None:
-        paths["plot"] = os.path.join(out_dir, "plot.csv")
+    plot = os.path.join(out_dir, "plot.csv")
+    fitted = [s for s in result.summary if "fitted" in s]
+    if fitted:
+        paths["plot"] = plot
         header = ("value", "mean_normalized_mse", "stderr_normalized_mse", "fitted")
-        ok = [s for s in result.summary if s["status"] == "ok"]
-        fitted = [result.amplitude * float(s["value"]) ** result.exponent for s in ok]
-        rows = [{**s, "fitted": f} for s, f in zip(ok, fitted)]
-        _write_csv(paths["plot"], header, rows)  # writes only the header's columns
+        _write_csv(plot, header, fitted)  # writes only the header's columns
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(plot)
     return paths

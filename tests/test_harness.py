@@ -33,6 +33,7 @@ from shufflesum import (
     empirical_mse,
     emit_outputs,
     fit_matrix,
+    fit_power_law,
     ingest_csv,
     randomize_batch,
     resolve_point,
@@ -711,10 +712,23 @@ class TestEmitOutputs:
         assert [s["status"] for s in result.summary] == ["skipped", "ok", "ok", "ok"]
         paths = emit_outputs(result, tmp_path / "out")
         with open(paths["plot"], newline="") as fh:
-            plotted = [float(row["value"]) for row in csv.DictReader(fh)]
-        assert plotted == [0.6, 0.75, 0.9]
+            plotted = list(csv.DictReader(fh))
+        assert [float(row["value"]) for row in plotted] == [0.6, 0.75, 0.9]
+        # the curve is the power law fitted to the ok points' means alone
+        ok = result.summary[1:]
+        exponent, _, amplitude = fit_power_law(
+            [s["value"] for s in ok], [s["mean_normalized_mse"] for s in ok]
+        )
+        assert exponent == result.exponent
+        assert [float(row["fitted"]) for row in plotted] == [
+            amplitude * s["value"] ** exponent for s in ok
+        ]
         with open(paths["summary"], newline="") as fh:
-            assert [row["status"] for row in csv.DictReader(fh)][0] == "skipped"
+            skipped, *reached = csv.DictReader(fh)
+        assert skipped["status"] == "skipped" and skipped["reason"]
+        unreached = ("k", "gamma", "mean_normalized_mse", "stderr_normalized_mse", "bound_mse")
+        assert [skipped[column] for column in unreached] == [""] * len(unreached)
+        assert [row["reason"] for row in reached] == ["", "", ""]
 
     def test_plot_file_only_for_fitted_axes(self, small_matrix, tmp_path):
         cfg = ExperimentConfig(
@@ -723,6 +737,18 @@ class TestEmitOutputs:
         result = run_sweep(cfg, matrix=small_matrix)
         paths = emit_outputs(result, tmp_path / "out")
         assert "plot" not in paths
+
+    def test_output_without_a_fit_removes_a_stale_plot(self, small_matrix, tmp_path):
+        # a run written where a sweep was must not leave the sweep's curve
+        # beside its own summary
+        sweep = _small_sweep_config(axis="n", values=(5000, 10000, 20000), delta=1e-4, trials=1)
+        with pytest.warns(UserWarning):  # delta >= 1/n at n = 20000
+            emit_outputs(run_sweep(sweep, matrix=small_matrix), tmp_path)
+        assert (tmp_path / "plot.csv").exists()
+        single = ExperimentConfig(d=5, k=2, n=5000, eps=0.6, delta=1e-4, trials=1)
+        paths = emit_outputs(run_sweep(single, matrix=small_matrix), tmp_path)
+        assert "plot" not in paths
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.csv", "summary.csv"]
 
     @pytest.mark.parametrize(
         "over", [{"eps": np.float64(0.5)}, {"gamma": np.float64(0.2)}], ids=["eps", "gamma"]

@@ -1,4 +1,5 @@
-"""Each module of the package and of its tests uses every name it imports."""
+"""Each module of the package and of its tests uses every name it imports,
+and the package imports only at module level."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "shufflesum"
 # imported for an effect, not for a name (harness.py's comment gives its reason)
 ALLOWED = {"__future__.annotations", "numpy.random"}
-MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
-MODULES += sorted(TESTS.glob("*.py"))
+PACKAGE = sorted(SRC.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -47,3 +48,38 @@ def test_finds_unused_imports():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_in_functions(source):
+    """(line, statement) of each import made inside a function body."""
+    return sorted(
+        {
+            (node.lineno, ast.unparse(node))
+            for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_finds_imports_in_functions():
+    source = (
+        "import os\n"
+        "def f():\n    import json\n    def g():\n        from . import calibration\n"
+        "class C:\n    async def h(self):\n        import csv\n"
+    )
+    assert imports_in_functions(source) == [
+        (3, "import json"),
+        (5, "from . import calibration"),
+        (8, "import csv"),
+    ]
+    assert imports_in_functions("import os\nif os.name:\n    import csv\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_package_imports_only_at_module_level(path):
+    # perfbench/child.py times `import shufflesum.cli` as set-up and `main`
+    # as the run: a module first imported inside a function would move its
+    # load cost into the run's wall time
+    assert imports_in_functions(path.read_text()) == []
