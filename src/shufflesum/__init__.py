@@ -6,7 +6,6 @@ experiment harness that scores trials and fits power laws."""
 from .aggregation import MalformedMessageError, analyze_arrays, shuffle
 from .audit import AuditVerdict, exact_audit
 from .calibration import (
-    ComposedBudget,
     InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
@@ -19,7 +18,6 @@ from .calibration import (
     compose_epsilon_prime,
 )
 from .harness import (
-    DatasetMatrix,
     ExperimentConfig,
     SweepResult,
     TrialResult,

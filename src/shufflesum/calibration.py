@@ -54,27 +54,17 @@ class ProtocolParams:
     gamma: float
 
     def __post_init__(self):
-        for name in ("d", "k", "n", "t"):
-            _check_integer(name, getattr(self, name))
         _check_dims(self.d, self.n, self.t, self.k)
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class ComposedBudget:
-    """Per-fold budget (epsilon', delta') for r-fold composition."""
-
-    epsilon_prime: float
-    delta_prime: float
-
-
-def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> ComposedBudget:
+def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> tuple[float, float]:
     """Split a target budget into a per-fold budget for r-fold composition.
 
-    Returns epsilon' = epsilon / (2 sqrt(2 r ln(1/delta))) in the low
-    regime; in the high regime the 2 is scaled by a further factor of 6.
-    delta' = delta / r.
+    Returns (epsilon', delta'): epsilon' = epsilon / (2 sqrt(2 r ln(1/delta)))
+    in the low regime, where the high regime scales the 2 by a further
+    factor of 6, and delta' = delta / r.
     """
     _check_integer("r", r)
     if r < 1:
@@ -82,10 +72,7 @@ def compose_epsilon_prime(budget: PrivacyBudget, r: int) -> ComposedBudget:
     log_term = math.log(1.0 / budget.delta)
     scale = 12.0 if budget.high_regime else 2.0
     denom = scale * math.sqrt(2.0 * r * log_term)
-    return ComposedBudget(
-        epsilon_prime=budget.epsilon / denom,
-        delta_prime=budget.delta / r,
-    )
+    return budget.epsilon / denom, budget.delta / r
 
 
 def _check_integer(name: str, value):
@@ -95,7 +82,9 @@ def _check_integer(name: str, value):
 
 
 def _check_dims(d: int, n: int, t: int, k: int = 1):
-    """The range rules for d, k, n and t; choose_k_t1 has no k yet."""
+    """The integer and range rules for d, k, n and t; choose_k_t1 has no k yet."""
+    for name, value in (("d", d), ("k", k), ("n", n), ("t", t)):
+        _check_integer(name, value)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if k < 1:
@@ -157,9 +146,9 @@ def calibrate_gamma_general(
 
     In both regimes this is half the t = 1 low-regime 14-rule applied per
     coordinate, 7 (d/t) k ln(2/delta') / ((n-1) eps'^2), at the per-fold
-    budget (eps', delta') = compose_epsilon_prime(budget, t).  It is not
-    computed that way, since gamma would then move by a few ulps, and the
-    frozen gamma tests assert exact equality.
+    budget (eps', delta') that compose_epsilon_prime(budget, t) returns.
+    It is not computed that way, since gamma would then move by a few ulps,
+    and the frozen gamma tests assert exact equality.
     """
     return _feasible_gamma(_gamma(budget, d, k, n, t, "general"), "general-t calibration")
 

@@ -60,7 +60,7 @@ _PARSE = {int: int, float: float, bool: _parse_bool}
 def _read_config_file(path):
     """The file's settings, and the line each one was read from."""
     out, lines = {}, {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -115,12 +115,12 @@ def _build_config(args) -> ExperimentConfig:
 
 def _cmd_params(config):
     params, budget, mode = resolve_point(config)
-    composed = compose_epsilon_prime(budget, params.t)
+    eps_prime, delta_prime = compose_epsilon_prime(budget, params.t)
     print(f"calibration mode: {mode}")
     print(f"d={params.d} k={params.k} n={params.n} t={params.t}")
     print(f"epsilon={budget.epsilon} delta={budget.delta}")
     print(f"gamma={params.gamma!r}")
-    print(f"per-coordinate epsilon'={composed.epsilon_prime!r} delta'={composed.delta_prime!r}")
+    print(f"per-coordinate epsilon'={eps_prime!r} delta'={delta_prime!r}")
     return EXIT_OK
 
 
@@ -162,12 +162,12 @@ def _cmd_audit(config):
 def _cmd_ingest_check(config):
     if config.dataset is None:
         raise ValueError("ingest-check requires --dataset")
-    ds = ingest_csv(
+    matrix, provenance = ingest_csv(
         config.dataset, drop_label=config.drop_label, normalize=config.normalize
     )
-    print(f"shape: {ds.values.shape[0]} rows x {ds.values.shape[1]} columns")
-    print(f"range: [{ds.values.min():g}, {ds.values.max():g}]")
-    print(f"provenance: {ds.provenance}")
+    print(f"shape: {matrix.shape[0]} rows x {matrix.shape[1]} columns")
+    print(f"range: [{matrix.min():g}, {matrix.max():g}]")
+    print(f"provenance: {provenance}")
     return EXIT_OK
 
 

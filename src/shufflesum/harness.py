@@ -136,14 +136,6 @@ SETTING_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class DatasetMatrix:
-    """Ingested user vectors plus a record of how they were produced."""
-
-    values: np.ndarray
-    provenance: str
-
-
 @dataclass
 class SweepResult:
     """`rows` holds one dict per (point, trial); `summary` one per point, its
@@ -169,7 +161,7 @@ def _read_cells(path) -> np.ndarray:
     """`ingest_csv`'s per-cell reader: the only one that reads quoted cells,
     "1_0" and whitespace-only lines, and that names an error's position."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:  # named by file line, as a quoted cell may span lines
@@ -217,8 +209,12 @@ def _loadtxt_agrees(text: str) -> bool:
     return True
 
 
-def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> DatasetMatrix:
-    """Read a CSV of real-valued rows into a [0, 1] matrix.
+def ingest_csv(
+    path, drop_label: bool = False, normalize: str = "clamp"
+) -> tuple[np.ndarray, str]:
+    """Read a UTF-8 CSV of real-valued rows into a [0, 1] matrix.  Returns
+    (matrix, provenance): the float64 2-D matrix and a record of the steps
+    that produced it.
 
     drop_label removes the trailing column.  normalize="clamp" clips into
     [0, 1]; "minmax" rescales by the global min/max.  Unparseable and
@@ -229,7 +225,7 @@ def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> Data
     if normalize not in CHOICES["normalize"]:
         raise ValueError(f"normalize must be one of {CHOICES['normalize']}, got {normalize!r}")
     matrix = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         if _loadtxt_agrees(fh.read()):
             fh.seek(0)  # a handle, as numpy imports gzip to open a path
             with contextlib.suppress(ValueError):
@@ -253,13 +249,15 @@ def ingest_csv(path, drop_label: bool = False, normalize: str = "clamp") -> Data
         matrix = np.clip(matrix, 0.0, 1.0)
         if clipped:
             steps.append(f"clamped {clipped} entries into [0, 1]")
-    return DatasetMatrix(values=matrix, provenance="; ".join(steps))
+    return matrix, "; ".join(steps)
 
 
 def fit_matrix(matrix, n: int, d: int) -> np.ndarray:
     """The first n rows (all of them if fewer) of a 2-D raw matrix, columns
     truncated or zero-padded to d: `run_trial` gives user i row i % rows
     of this table, so no (n, d) matrix is built."""
+    _check_integer("n", n)
+    _check_integer("d", d)
     matrix = np.asarray(matrix, dtype=float)
     rows, cols = matrix.shape  # ValueError unless 2-D
     out = np.zeros((min(rows, n), d))
@@ -269,6 +267,9 @@ def fit_matrix(matrix, n: int, d: int) -> np.ndarray:
 
 def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
     """Deterministic 64-bit seed for one (sweep point, trial) cell."""
+    _check_integer("master_seed", master_seed)
+    _check_integer("point_index", point_index)
+    _check_integer("trial_index", trial_index)
     ss = np.random.SeedSequence([int(master_seed), int(point_index), int(trial_index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -373,9 +374,9 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
     if matrix is None:
         if config.dataset is None:
             raise ValueError("no dataset: pass a matrix or set config.dataset")
-        matrix = ingest_csv(
+        matrix, _ = ingest_csv(
             config.dataset, drop_label=config.drop_label, normalize=config.normalize
-        ).values
+        )
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValueError(f"matrix must be 2-D with rows and columns, got shape {matrix.shape}")
@@ -452,7 +453,7 @@ def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, header, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)

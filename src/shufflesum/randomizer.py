@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import ProtocolParams
+from .calibration import ProtocolParams, _check_integer
 
 BLOCK_ENTRIES = 2**15  # entries (users x t) per block of `_randomize_rows`
 
@@ -24,7 +24,13 @@ def respond(sampled, k: int, gamma: float, rng: np.random.Generator, work=None) 
     floor(x k) + [u < gamma + f (1 - gamma)]; the blanket value is uniform
     up to the 2^-53 grid of rng.random, as both decisions are.  Works in
     float64 `work` (3, *sampled.shape), new if None; returns int64, a view
-    of work[1].  An input outside [0, 1] or NaN raises ValueError."""
+    of work[1].  An input outside [0, 1] or NaN, a non-integer k, k < 1 or
+    a gamma outside [0, 1] raises ValueError."""
+    _check_integer("k", k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     sampled = np.asarray(sampled, dtype=float)
     if sampled.size and not (sampled.min() >= 0.0 and sampled.max() <= 1.0):
         raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")

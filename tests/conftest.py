@@ -48,4 +48,5 @@ def signal_csv(tmp_path_factory):
 @pytest.fixture(scope="session")
 def dataset(signal_csv):
     """Ingested corpus: label dropped, entries clamped into [0, 1]."""
-    return ingest_csv(signal_csv, drop_label=True, normalize="clamp").values
+    matrix, _ = ingest_csv(signal_csv, drop_label=True, normalize="clamp")
+    return matrix

@@ -227,7 +227,7 @@ def test_criterion_09_tail_endpoint(request):
     for eps, delta, d, k, n, t in points:
         b = PrivacyBudget(eps, delta)
         gamma = calibrate_gamma_general(b, d, k, n, t)
-        eps_prime = compose_epsilon_prime(b, t).epsilon_prime
+        eps_prime, _ = compose_epsilon_prime(b, t)
         s = (n - 1) * t // d
         tail = blanket_tail(s, gamma, k, gamma * s / k, eps_prime)
         all_ok = all_ok and tail <= delta / t

@@ -74,7 +74,8 @@ class TestExactTailProbability:
         b = PrivacyBudget(0.5, 0.1)
         gamma = calibrate_gamma_general(b, d=1, k=1, n=10001, t=1)
         s = 10000  # (n - 1) t / d
-        c, eps_prime = gamma * s, compose_epsilon_prime(b, 1).epsilon_prime
+        eps_prime, _ = compose_epsilon_prime(b, 1)
+        c = gamma * s
         got = blanket_tail(s, gamma, 1, c, eps_prime)
         assert got <= 0.1
         want = pmf_sum_tail(s, gamma, 1, c, eps_prime)
@@ -149,7 +150,8 @@ class TestChernoffUpperBound:
             b = PrivacyBudget(eps, delta)
             gamma = calibrate_gamma_general(b, d=d, k=1, n=n, t=1)
             s2 = 2 * (n - 1) // d
-            c, eps_prime = gamma * s2, compose_epsilon_prime(b, 1).epsilon_prime
+            eps_prime, _ = compose_epsilon_prime(b, 1)
+            c = gamma * s2
             exact = blanket_tail(s2, gamma, 1, c, eps_prime)
             assert exact <= chernoff_upper_bound(c, eps_prime, 1, delta)
 

@@ -86,29 +86,27 @@ class TestProtocolParams:
 
 class TestComposeEpsilonPrime:
     def test_low_regime_four_folds(self):
-        c = compose_epsilon_prime(PrivacyBudget(0.8, 0.01), 4)
-        assert c.epsilon_prime == pytest.approx(0.06590102289822608, rel=1e-12)
-        assert c.delta_prime == pytest.approx(0.0025, rel=1e-12)
+        eps_prime, delta_prime = compose_epsilon_prime(PrivacyBudget(0.8, 0.01), 4)
+        assert eps_prime == pytest.approx(0.06590102289822608, rel=1e-12)
+        assert delta_prime == pytest.approx(0.0025, rel=1e-12)
         oracle = mp_eps_prime(0.8, 0.01, 4, high=False)
-        assert c.epsilon_prime == pytest.approx(float(oracle), rel=1e-12)
+        assert eps_prime == pytest.approx(float(oracle), rel=1e-12)
 
     def test_low_regime_single_fold(self):
-        c = compose_epsilon_prime(PrivacyBudget(0.5, 0.1), 1)
-        assert c.epsilon_prime == pytest.approx(0.11650, abs=5e-6)
-        assert c.epsilon_prime == pytest.approx(
+        eps_prime, _ = compose_epsilon_prime(PrivacyBudget(0.5, 0.1), 1)
+        assert eps_prime == pytest.approx(0.11650, abs=5e-6)
+        assert eps_prime == pytest.approx(
             float(mp_eps_prime(0.5, 0.1, 1, high=False)), rel=1e-12
         )
 
     def test_high_regime_scales_denominator_by_six(self):
-        c = compose_epsilon_prime(PrivacyBudget(2.0, 0.1), 1)
-        assert c.epsilon_prime == pytest.approx(0.07767, abs=5e-6)
-        assert c.epsilon_prime == pytest.approx(
+        eps_prime, _ = compose_epsilon_prime(PrivacyBudget(2.0, 0.1), 1)
+        assert eps_prime == pytest.approx(0.07767, abs=5e-6)
+        assert eps_prime == pytest.approx(
             float(mp_eps_prime(2.0, 0.1, 1, high=True)), rel=1e-12
         )
-        low = compose_epsilon_prime(PrivacyBudget(0.5, 0.1), 1)
-        assert low.epsilon_prime / 0.5 == pytest.approx(
-            6 * c.epsilon_prime / 2.0, rel=1e-12
-        )
+        low, _ = compose_epsilon_prime(PrivacyBudget(0.5, 0.1), 1)
+        assert low / 0.5 == pytest.approx(6 * eps_prime / 2.0, rel=1e-12)
 
     def test_rejects_bad_r(self):
         for r in (0, 2.5, True):
@@ -127,10 +125,9 @@ class TestComposeEpsilonPrime:
     )
     def test_monotone_decreasing_in_r(self, eps, delta, r):
         b = PrivacyBudget(eps, delta)
-        assert (
-            compose_epsilon_prime(b, r + 1).epsilon_prime
-            < compose_epsilon_prime(b, r).epsilon_prime
-        )
+        more, _ = compose_epsilon_prime(b, r + 1)
+        fewer, _ = compose_epsilon_prime(b, r)
+        assert more < fewer
 
 
 def advanced_composition(epsilon_prime, r, delta):
@@ -167,7 +164,7 @@ class TestAdvancedComposition:
     def test_round_trip_stays_within_half_target(self):
         # splitting with the 2x safety factor must recompose below target
         b = PrivacyBudget(0.5, 0.1)
-        eps_prime = compose_epsilon_prime(b, 1).epsilon_prime
+        eps_prime, _ = compose_epsilon_prime(b, 1)
         total = advanced_composition(eps_prime, 1, b.delta)
         oracle = float(
             mpmath.sqrt(2 * mpmath.log(10)) * mpmath.mpf(eps_prime)
@@ -180,14 +177,14 @@ class TestAdvancedComposition:
     @pytest.mark.parametrize("delta", [0.001, 0.1, 0.5])
     @pytest.mark.parametrize("r", [1, 2, 10, 100, 1000])
     def test_round_trip_bracket_low_regime(self, eps, delta, r):
-        eps_prime = compose_epsilon_prime(PrivacyBudget(eps, delta), r).epsilon_prime
+        eps_prime, _ = compose_epsilon_prime(PrivacyBudget(eps, delta), r)
         total = advanced_composition(eps_prime, r, delta)
         assert eps / 2 <= total <= eps
 
     @pytest.mark.parametrize("eps", [1.0, 2.5, 5.9])
     @pytest.mark.parametrize("r", [1, 10, 500])
     def test_round_trip_high_regime_below_target(self, eps, r):
-        eps_prime = compose_epsilon_prime(PrivacyBudget(eps, 0.25), r).epsilon_prime
+        eps_prime, _ = compose_epsilon_prime(PrivacyBudget(eps, 0.25), r)
         assert advanced_composition(eps_prime, r, 0.25) <= eps
 
     def test_rejects_bad_inputs(self):
@@ -262,10 +259,8 @@ class TestCalibrateGammaGeneral:
         # budget that compose_epsilon_prime gives, with d/t coordinates per fold
         d, k, n = 37, 3, 10**15
         budget = PrivacyBudget(eps, delta)
-        fold = compose_epsilon_prime(budget, t)
-        rule = 14 * (d / t) * k * math.log(2 / fold.delta_prime) / (
-            (n - 1) * fold.epsilon_prime**2
-        )
+        eps_prime, delta_prime = compose_epsilon_prime(budget, t)
+        rule = 14 * (d / t) * k * math.log(2 / delta_prime) / ((n - 1) * eps_prime**2)
         assert calibrate_gamma_general(budget, d, k, n, t) == pytest.approx(rule / 2, rel=1e-12)
 
     @given(n=st.integers(10_001, 10**7))
@@ -348,6 +343,24 @@ class TestCalibrateGammaT1:
         assert "t=1 calibration: required blanket probability 1 is not below 1" in (
             capsys.readouterr().err
         )
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("d", lambda b, v: calibrate_gamma_t1(b, v, 1, 10001)),
+        ("k", lambda b, v: calibrate_gamma_general(b, 10, v, 10001, 2)),
+        ("n", lambda b, v: choose_k_t1(b, 10, v)),
+        ("t", lambda b, v: choose_k_general(b, 10, 10001, v)),
+    ],
+    ids=["calibrate_gamma_t1", "calibrate_gamma_general", "choose_k_t1", "choose_k_general"],
+)
+def test_calibrators_and_choosers_refuse_non_integer_dims(field, call, bad):
+    # the integer rule of ProtocolParams: d = True would calibrate as d = 1,
+    # and a fractional k is named, not mistaken for an infeasible budget
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        call(PrivacyBudget(0.5, 0.1), bad)
 
 
 class TestChooseK:

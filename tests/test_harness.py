@@ -77,35 +77,35 @@ def _ingest_outcome(path, slow=False, **kwargs):
     fail = mock.patch.object(np, "loadtxt", side_effect=ValueError)
     with fail if slow else contextlib.nullcontext():
         try:
-            ds = ingest_csv(path, **kwargs)
+            matrix, provenance = ingest_csv(path, **kwargs)
         except ValueError as exc:
             return type(exc), str(exc)
-    return ds.values.tobytes(), ds.values.shape, ds.provenance
+    return matrix.tobytes(), matrix.shape, provenance
 
 
 class TestIngestCsv:
     def test_two_by_two_verbatim(self, tmp_path):
         p = tmp_path / "tiny.csv"
         p.write_text("0.2,0.8\n1.0,0.0\n")
-        ds = ingest_csv(p)
-        assert np.array_equal(ds.values, [[0.2, 0.8], [1.0, 0.0]])
-        assert "2x2" in ds.provenance
+        matrix, provenance = ingest_csv(p)
+        assert np.array_equal(matrix, [[0.2, 0.8], [1.0, 0.0]])
+        assert "2x2" in provenance
 
     def test_minmax_normalization(self, tmp_path):
         p = tmp_path / "wide.csv"
         p.write_text("0,100\n50,200\n")
-        ds = ingest_csv(p, normalize="minmax")
-        assert ds.values.min() == 0.0 and ds.values.max() == 1.0
-        assert np.allclose(ds.values, [[0, 0.5], [0.25, 1.0]])
+        matrix, _ = ingest_csv(p, normalize="minmax")
+        assert matrix.min() == 0.0 and matrix.max() == 1.0
+        assert np.allclose(matrix, [[0, 0.5], [0.25, 1.0]])
 
     def test_clamp_and_label_drop_on_fixture(self, signal_csv):
-        ds = ingest_csv(signal_csv, drop_label=True, normalize="clamp")
-        assert ds.values.shape == (800, 187)
-        assert ds.values.min() >= 0.0 and ds.values.max() <= 1.0
-        assert "label" in ds.provenance
+        matrix, provenance = ingest_csv(signal_csv, drop_label=True, normalize="clamp")
+        assert matrix.shape == (800, 187)
+        assert matrix.min() >= 0.0 and matrix.max() <= 1.0
+        assert "label" in provenance
         # requesting d=100 keeps the first 100 feature columns
-        fitted = fit_matrix(ds.values, 800, 100)
-        assert np.array_equal(fitted, ds.values[:, :100])
+        fitted = fit_matrix(matrix, 800, 100)
+        assert np.array_equal(fitted, matrix[:, :100])
 
     def test_unparseable_cell_reports_position(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -134,7 +134,8 @@ class TestIngestCsv:
     def test_blank_lines_skipped_and_rows_named_by_file_line(self, tmp_path):
         p = tmp_path / "gaps.csv"
         p.write_text("0.1,0.2\n\n   \n0.3,0.4\n")
-        assert np.array_equal(ingest_csv(p).values, [[0.1, 0.2], [0.3, 0.4]])
+        matrix, _ = ingest_csv(p)
+        assert np.array_equal(matrix, [[0.1, 0.2], [0.3, 0.4]])
         p.write_text("0.1,0.2\n\n   \n0.3,oops\n")
         with pytest.raises(ValueError, match="row 4, column 2"):
             ingest_csv(p)
@@ -251,6 +252,13 @@ class TestFitMatrix:
         m = np.arange(12.0).reshape(3, 4)
         out = fit_matrix(m, 2, 2)
         assert np.array_equal(out, m[:2, :2])
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    @pytest.mark.parametrize("field", ["n", "d"])
+    def test_rejects_non_integer_sizes(self, field, bad):
+        sizes = {"n": 3, "d": 2, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            fit_matrix(np.ones((3, 2)), **sizes)
 
 
 class TestExperimentConfig:
@@ -478,6 +486,14 @@ class TestRunTrial:
         seeds = {trial_seed(0, p, t) for p in range(10) for t in range(10)}
         assert len(seeds) == 100
         assert trial_seed(0, 1, 2) != trial_seed(1, 0, 2)
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    @pytest.mark.parametrize("field", ["master_seed", "point_index", "trial_index"])
+    def test_trial_seed_rejects_non_integers(self, field, bad):
+        # int() would truncate 1.7 and True to 1, so two cells would share a seed
+        cell = {"master_seed": 1, "point_index": 0, "trial_index": 0, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            trial_seed(**cell)
 
 
 # Traced by perfbench/spans.py but no longer bound there; their per-layer

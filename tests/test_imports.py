@@ -1,5 +1,6 @@
 """Each module of the package and of its tests uses every name it imports,
-and the package imports only at module level."""
+the package imports only at module level, and it opens text files with an
+explicit encoding."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,41 @@ def test_package_imports_only_at_module_level(path):
     # as the run: a module first imported inside a function would move its
     # load cost into the run's wall time
     assert imports_in_functions(path.read_text()) == []
+
+
+def opens_without_encoding(source):
+    """(line, call) of each open() that passes no encoding and whose mode is
+    not a binary literal: without one, text is read and written in the
+    locale's encoding."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if "encoding" not in keywords and not binary:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_finds_opens_without_encoding():
+    source = (
+        "open(p)\n"
+        'open(p, "w", newline="")\n'
+        'open(p, encoding="utf-8")\n'
+        'open(p, "rb")\n'
+        'open(p, mode="wb")\n'
+        "with open(p, mode) as fh:\n    fh.open(q)\n"
+    )
+    assert opens_without_encoding(source) == [
+        (1, "open(p)"),
+        (2, "open(p, 'w', newline='')"),
+        (6, "open(p, mode)"),
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_package_opens_files_with_an_encoding(path):
+    # datasets, config files and output CSVs are UTF-8 on every locale
+    assert opens_without_encoding(path.read_text()) == []

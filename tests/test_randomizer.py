@@ -90,11 +90,21 @@ class TestRandomizedResponse:
             respond([1.5], 4, 0.1, rng)
         with pytest.raises(ValueError):
             respond([-0.25], 4, 0.1, rng)
-        # k and gamma reach the kernel through a validated ProtocolParams
+        # ProtocolParams refuses the k and gamma that respond refuses
         with pytest.raises(ValueError):
             ProtocolParams(d=1, k=0, n=10, t=1, gamma=0.1)
         with pytest.raises(ValueError):
             ProtocolParams(d=1, k=4, n=10, t=1, gamma=1.5)
+
+    @pytest.mark.parametrize(
+        "field, k, gamma",
+        [("k", 2.5, 0.3), ("k", True, 0.3), ("k", 0, 0.3), ("gamma", 3, -0.2),
+         ("gamma", 3, 1.5), ("gamma", 3, np.nan)],
+    )
+    def test_rejects_bad_k_and_gamma(self, field, k, gamma):
+        # a negative gamma is no blanket, so the output would have no privacy
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            respond(np.full(4, 0.5), k, gamma, np.random.default_rng(0))
 
     @given(x=st.floats(0.0, 1.0), k=st.integers(1, 9), gamma=st.floats(0.0, 1.0))
     @settings(max_examples=100)

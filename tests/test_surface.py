@@ -19,6 +19,7 @@ PRIVATE_IMPORTS = {
     "harness <- aggregation._debias": "run_trial tallies each block and debiases once",
     "harness <- randomizer._randomize_rows": "the block generator of run_trial",
     "harness <- calibration._check_integer": "the integer rule for settings",
+    "randomizer <- calibration._check_integer": "the integer rule for respond's k",
 }
 
 
