@@ -29,11 +29,9 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < EPSILON_MAX):
-            raise ValueError(
-                f"epsilon must be in (0, {EPSILON_MAX}), got {self.epsilon}"
-            )
-        if not (0.0 < self.delta < 1.0):
+        if isinstance(self.epsilon, bool) or not (0.0 < self.epsilon < EPSILON_MAX):
+            raise ValueError(f"epsilon must be in (0, {EPSILON_MAX}), got {self.epsilon}")
+        if isinstance(self.delta, bool) or not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
     @property
@@ -55,7 +53,7 @@ class ProtocolParams:
 
     def __post_init__(self):
         _check_dims(self.d, self.n, self.t, self.k)
-        if not (0.0 <= self.gamma <= 1.0):
+        if isinstance(self.gamma, bool) or not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
 

@@ -124,9 +124,17 @@ def _cmd_params(config):
     return EXIT_OK
 
 
+def _read_dataset(config, command):
+    """ingest_csv's (matrix, provenance) of --dataset, which command needs."""
+    if config.dataset is None:
+        raise ValueError(f"{command} requires --dataset")
+    return ingest_csv(config.dataset, drop_label=config.drop_label, normalize=config.normalize)
+
+
 def _cmd_run(config):
     """run and sweep: one point, or one per sweep value."""
-    result = run_sweep(config)
+    matrix, _ = _read_dataset(config, "sweep" if config.axis else "run")
+    result = run_sweep(config, matrix)
     for s in result.summary:
         if s["status"] == "ok":
             print(
@@ -151,7 +159,7 @@ def _cmd_audit(config):
     params, budget, _mode = resolve_point(config)
     verdict = exact_audit(params, budget)
     print(
-        f"exact epsilon {verdict.exact_epsilon:.4f} vs "
+        f"epsilon lower bound {verdict.exact_epsilon:.4f} (exact for the audited pair) vs "
         f"target {budget.epsilon:.4f}; "
         f"delta({budget.epsilon:g}) {verdict.exact_delta:.4g} vs "
         f"target {budget.delta:g}: {'PASS' if verdict.passed else 'FAIL'}"
@@ -160,11 +168,7 @@ def _cmd_audit(config):
 
 
 def _cmd_ingest_check(config):
-    if config.dataset is None:
-        raise ValueError("ingest-check requires --dataset")
-    matrix, provenance = ingest_csv(
-        config.dataset, drop_label=config.drop_label, normalize=config.normalize
-    )
+    matrix, provenance = _read_dataset(config, "ingest-check")
     print(f"shape: {matrix.shape[0]} rows x {matrix.shape[1]} columns")
     print(f"range: [{matrix.min():g}, {matrix.max():g}]")
     print(f"provenance: {provenance}")

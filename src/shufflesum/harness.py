@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import os
 import typing
@@ -114,16 +115,18 @@ class ExperimentConfig:
             raise ValueError("a sweep axis needs a non-empty value list")
         else:
             kind = SETTING_TYPES[self.axis]
-            if kind is int:
-                for value in self.values:
+            for value in self.values:
+                if kind is int:
                     _check_integer(f"{self.axis} sweep value", value)
+                elif isinstance(value, bool):
+                    raise ValueError(f"{self.axis} sweep value must be a number, got {value!r}")
             object.__setattr__(self, "values", tuple(map(kind, self.values)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gamma is not None:
-            if not 0.0 <= self.gamma <= 1.0:
+            if isinstance(self.gamma, bool) or not 0.0 <= self.gamma <= 1.0:
                 raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
             if self.calibration == "general":
                 raise ValueError("a set gamma is used as given, so calibration must be auto")
@@ -157,34 +160,33 @@ class TrialResult:
     normalized_mse: float
 
 
-def _read_cells(path) -> np.ndarray:
-    """`ingest_csv`'s per-cell reader: the only one that reads quoted cells,
-    "1_0" and whitespace-only lines, and that names an error's position."""
+def _read_cells(text: str, path) -> np.ndarray:
+    """`ingest_csv`'s per-cell reader of path's text, already read: the only one
+    that reads quoted cells, "1_0" and whitespace-only lines, and names an error's position."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:  # named by file line, as a quoted cell may span lines
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                parsed = []
-                for j, cell in enumerate(row):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: unparseable cell at row {reader.line_num}, "
-                            f"column {j + 1}: {cell!r}"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise ValueError(
-                            f"{path}: non-finite cell at row {reader.line_num}, "
-                            f"column {j + 1}: {value}"
-                        )
-                    parsed.append(value)
-                rows.append(parsed)
-        except csv.Error as exc:  # a cell over csv.field_size_limit(), say
-            raise ValueError(f"{path}: unreadable CSV at line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:  # named by file line, as a quoted cell may span lines
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            parsed = []
+            for j, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: unparseable cell at row {reader.line_num}, "
+                        f"column {j + 1}: {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: non-finite cell at row {reader.line_num}, "
+                        f"column {j + 1}: {value}"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    except csv.Error as exc:  # a cell over csv.field_size_limit(), say
+        raise ValueError(f"{path}: unreadable CSV at line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     widths = {len(r) for r in rows}
@@ -220,18 +222,19 @@ def ingest_csv(
     [0, 1]; "minmax" rescales by the global min/max.  Unparseable and
     non-finite (nan, inf) cells are reported with their row/column position.
     One np.loadtxt call parses the file; one it rejects or would misread, or
-    that holds a non-finite cell, is read again by `_read_cells`.
+    that holds a non-finite cell, is read again from the same text by `_read_cells`.
     """
     if normalize not in CHOICES["normalize"]:
         raise ValueError(f"normalize must be one of {CHOICES['normalize']}, got {normalize!r}")
     matrix = None
     with open(path, newline="", encoding="utf-8") as fh:
-        if _loadtxt_agrees(fh.read()):
+        text = fh.read()
+        if _loadtxt_agrees(text):
             fh.seek(0)  # a handle, as numpy imports gzip to open a path
             with contextlib.suppress(ValueError):
                 matrix = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)  # "#" is a cell
     if matrix is None or not np.isfinite(matrix).all():
-        matrix = _read_cells(path)
+        matrix = _read_cells(text, path)
     steps = [f"read {matrix.shape[0]}x{matrix.shape[1]} from {path}"]
     if drop_label:
         if matrix.shape[1] < 2:
@@ -364,19 +367,13 @@ def fit_power_law(xs, ys):
     return float(slope), r_squared, float(np.exp(intercept))
 
 
-def run_sweep(config: ExperimentConfig, matrix=None) -> SweepResult:
-    """Execute all sweep points.  `matrix` overrides config.dataset with an
-    already-normalized raw matrix (rows x features, entries in [0, 1]).
+def run_sweep(config: ExperimentConfig, matrix) -> SweepResult:
+    """Execute all sweep points on `matrix`, the already-normalized raw
+    matrix (rows x features, entries in [0, 1]) that `ingest_csv` returns.
 
     Per point only the column-fitted table of min(rows, n) rows is built
     (`fit_matrix`), and `run_trial` gives user i row i % rows, in blocks:
     memory is O(rows d) per point and O(block + rows + d) per trial."""
-    if matrix is None:
-        if config.dataset is None:
-            raise ValueError("no dataset: pass a matrix or set config.dataset")
-        matrix, _ = ingest_csv(
-            config.dataset, drop_label=config.drop_label, normalize=config.normalize
-        )
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValueError(f"matrix must be 2-D with rows and columns, got shape {matrix.shape}")

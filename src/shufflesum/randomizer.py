@@ -29,7 +29,7 @@ def respond(sampled, k: int, gamma: float, rng: np.random.Generator, work=None) 
     _check_integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 <= gamma <= 1.0:
+    if isinstance(gamma, bool) or not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     sampled = np.asarray(sampled, dtype=float)
     if sampled.size and not (sampled.min() >= 0.0 and sampled.max() <= 1.0):

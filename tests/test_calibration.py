@@ -20,6 +20,7 @@ from shufflesum import (
     choose_k_t1,
     compose_epsilon_prime,
     resolve_point,
+    respond,
 )
 from shufflesum.cli import main
 
@@ -82,6 +83,24 @@ class TestProtocolParams:
     def test_accepts_numpy_integers(self):
         p = ProtocolParams(d=np.int64(5), k=np.int32(2), n=np.int64(10), t=np.uint8(1), gamma=0.1)
         assert (p.d, p.k, p.n, p.t) == (5, 2, 10, 1)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: PrivacyBudget(True, 0.1), "epsilon"),
+        (lambda: ProtocolParams(d=1, k=1, n=2, t=1, gamma=True), "gamma"),
+        (lambda: respond(np.array([0.5]), 3, True, np.random.default_rng(0)), "gamma"),
+        (lambda: ExperimentConfig(gamma=True), "gamma"),
+        (lambda: ExperimentConfig(axis="eps", values=(True, 0.5)), "eps sweep value"),
+        (lambda: resolve_point(ExperimentConfig(eps=True)), "epsilon"),
+    ],
+    ids=["budget-eps", "params-gamma", "respond-gamma", "config-gamma", "eps-value", "config-eps"],
+)
+def test_a_bool_is_no_epsilon_or_gamma(build, field):
+    # True would run as 1: epsilon 1 in the high regime, or gamma 1, all blanket
+    with pytest.raises(ValueError, match=f"^{field} .*True"):
+        build()
 
 
 class TestComposeEpsilonPrime:

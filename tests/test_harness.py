@@ -206,6 +206,22 @@ class TestIngestCsv:
                 ingest_csv(p, normalize="zscore")
             assert all(repr(c) in str(caught.value) for c in harness.CHOICES["normalize"])
 
+    def test_per_cell_reader_parses_the_text_that_was_checked(self, tmp_path):
+        # the quoted cell fails the fast parse; the file is then replaced by
+        # rename, and the per-cell reader must still parse the first text
+        p = tmp_path / "quoted.csv"
+        p.write_text('"0.75",0.25\n')
+        agrees = harness._loadtxt_agrees
+
+        def replace_after_reading(text):
+            (tmp_path / "new.csv").write_text("0.5,0.5\n")
+            os.replace(tmp_path / "new.csv", p)
+            return agrees(text)
+
+        with mock.patch.object(harness, "_loadtxt_agrees", replace_after_reading):
+            matrix, _ = ingest_csv(p)
+        assert matrix.tolist() == [[0.75, 0.25]]
+
     def test_corpus_reads_the_same_by_both_paths(self, signal_csv):
         # the benchmark corpus takes the one-call parse, not the per-cell one
         with mock.patch.object(harness, "_read_cells", side_effect=AssertionError):
@@ -621,10 +637,6 @@ class TestRunSweep:
             run_sweep(cfg, matrix=small_matrix)
         assert len(record) == 1
 
-    def test_needs_a_matrix_or_a_dataset(self):
-        with pytest.raises(ValueError, match="no dataset: pass a matrix or set config.dataset"):
-            run_sweep(_small_sweep_config())
-
     def test_all_points_infeasible_raises(self, small_matrix):
         cfg = _small_sweep_config(values=(0.01, 0.02))
         with pytest.warns(UserWarning), pytest.raises(InfeasibleParametersError) as info:
@@ -813,14 +825,14 @@ _SETTINGS = {
 
 
 class _Built(Exception):
-    """Carries the config that main handed to run_sweep."""
+    """Carries the config that main handed to the command."""
 
 
 def _built_config(monkeypatch, argv):
     def capture(config):
         raise _Built(config)
 
-    monkeypatch.setattr(cli, "run_sweep", capture)
+    monkeypatch.setitem(cli.COMMANDS, argv[0], capture)
     with pytest.raises(_Built) as caught:
         main(argv)
     return caught.value.args[0]
@@ -927,6 +939,13 @@ class TestCli:
     def test_ingest_check_needs_a_dataset(self, capsys):
         assert main(["ingest-check"]) == 1
         assert capsys.readouterr().err == "error: ingest-check requires --dataset\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["sweep", "--axis", "d", "--values", "50"]], ids=["run", "sweep"]
+    )
+    def test_run_and_sweep_need_a_dataset(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {argv[0]} requires --dataset\n"
 
     def test_ingest_check_oversized_cell_is_one_error_line(self, tmp_path, capsys):
         # a cell over the csv module's field limit raises csv.Error, which is

@@ -1,6 +1,7 @@
 """Each module of the package and of its tests uses every name it imports,
-the package imports only at module level, and it opens text files with an
-explicit encoding."""
+the package imports only at module level, it opens text files with an
+explicit encoding, and only the listed functions open a file or read the
+dataset."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,42 @@ def test_finds_opens_without_encoding():
 def test_package_opens_files_with_an_encoding(path):
     # datasets, config files and output CSVs are UTF-8 on every locale
     assert opens_without_encoding(path.read_text()) == []
+
+
+# The package's functions that call open() or ingest_csv(), each with its
+# reason: the dataset is opened in one place, and read for the CLI in one.
+FILE_OPENERS = {
+    "harness.ingest_csv": "opens the dataset once; both of its parsers read that text",
+    "harness._write_csv": "writes one output table",
+    "cli._read_config_file": "reads the --config file",
+    "cli._read_dataset": "reads --dataset for run, sweep and ingest-check",
+}
+
+
+def file_openers(source):
+    """Names of the top-level definitions ("<module>" for other statements)
+    that call open() or ingest_csv()."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        calls = [node for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+        if any(getattr(call.func, "id", None) in ("open", "ingest_csv") for call in calls):
+            found.add(getattr(stmt, "name", "<module>"))
+    return sorted(found)
+
+
+def test_finds_file_openers():
+    source = (
+        "def f(p):\n    with open(p) as fh:\n        return fh.read()\n"
+        "def g(c):\n    def h():\n        return ingest_csv(c.dataset)\n    return h\n"
+        "def k(fh):\n    return fh.open()\n"
+        "class C:\n    def m(self):\n        open(self.p)\n"
+        "open(q)\n"
+    )
+    assert file_openers(source) == ["<module>", "C", "f", "g"]
+
+
+def test_files_are_opened_by_the_listed_functions_only():
+    # run_sweep takes the matrix and reads no file; the per-cell reader
+    # parses the text that ingest_csv read
+    found = {f"{path.stem}.{name}" for path in PACKAGE for name in file_openers(path.read_text())}
+    assert found == set(FILE_OPENERS)
