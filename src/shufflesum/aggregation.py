@@ -55,11 +55,12 @@ def _tally(coords, values, params: ProtocolParams):
         raise MalformedMessageError(f"values outside [0, {params.k}]")
     if coords.size and (coords.min() < 0 or coords.max() >= params.d):
         raise MalformedMessageError(f"coordinates outside [0, {params.d - 1}]")
-    cols = np.ascontiguousarray(coords.T)  # so each comparison reads contiguous rows
+    # both (t, m): contiguous rows to compare, and no copy for `run_trial`'s blocks
+    cols, vals = np.ascontiguousarray(coords.T), values.T.ravel()
     if any(np.any(cols[:i] == cols[i]) for i in range(1, params.t)):
         raise MalformedMessageError("message coordinates must be distinct")
-    totals = np.bincount(coords.ravel(), weights=values.ravel(), minlength=params.d)
-    return totals, np.bincount(coords.ravel(), minlength=params.d)
+    totals = np.bincount(cols.ravel(), weights=vals, minlength=params.d)
+    return totals, np.bincount(cols.ravel(), minlength=params.d)
 
 
 def _debias(totals, counts, params: ProtocolParams) -> np.ndarray:

@@ -310,7 +310,8 @@ def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialR
     """
     truth = totals = counts = 0
     for coords, sampled, values in _randomize_rows(table, params, rng):
-        truth = truth + np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
+        # summed in the block's (t, m) order, which the .T views hold without a copy
+        truth += np.bincount(coords.T.ravel(), weights=sampled.T.ravel(), minlength=params.d)
         block_totals, block_counts = _tally(coords, values, params)
         totals, counts = totals + block_totals, counts + block_counts
     return empirical_mse(_debias(totals, counts, params), truth, params)

@@ -16,16 +16,18 @@ from .calibration import ProtocolParams, _check_integer
 BLOCK_ENTRIES = 2**15  # entries (users x t) per block of `_randomize_rows`
 
 
-def respond(sampled, k: int, gamma: float, rng: np.random.Generator, work=None) -> np.ndarray:
+def respond(sampled, k: int, gamma: float, uniforms, work=None) -> np.ndarray:
     """The mechanism kernel: encode x in [0, 1] as floor(x k) + Ber(f),
     f = x k - floor(x k), so E = x k; with probability gamma output a
-    uniform value on {0, ..., k} instead.  One draw per entry, u =
-    rng.random: u < gamma gives floor(u (k + 1) / gamma) clipped to k, else
-    floor(x k) + [u < gamma + f (1 - gamma)]; the blanket value is uniform
-    up to the 2^-53 grid of rng.random, as both decisions are.  Works in
-    float64 `work` (3, *sampled.shape), new if None; returns int64, a view
-    of work[1].  An input outside [0, 1] or NaN, a non-integer k, k < 1 or
-    a gamma outside [0, 1] raises ValueError."""
+    uniform value on {0, ..., k} instead.  One uniform u in [0, 1) per
+    entry, read from `uniforms` (shaped as sampled; no draw here): u < gamma
+    gives floor(u (k + 1) / gamma) clipped to k, else floor(x k) +
+    [u < gamma + f (1 - gamma)]; the blanket value is uniform up to the grid
+    of u, as both decisions are: m 2^-53 for `_floyd_sample`'s, split off a
+    draw over m values.  Works in float64 `work` (2, *sampled.shape), new if
+    None; returns int64, a view of work[0].  An input outside [0, 1] or NaN,
+    uniforms of another shape or outside [0, 1), a non-integer k, k < 1 or a
+    gamma outside [0, 1] raises ValueError."""
     _check_integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -34,9 +36,13 @@ def respond(sampled, k: int, gamma: float, rng: np.random.Generator, work=None) 
     sampled = np.asarray(sampled, dtype=float)
     if sampled.size and not (sampled.min() >= 0.0 and sampled.max() <= 1.0):
         raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
-    work = np.empty((3,) + sampled.shape) if work is None else work
-    u, frac, out = work[0, ...], work[1, ...], work[2, ...]
-    rng.random(out=u)
+    u = np.asarray(uniforms, dtype=float)
+    if u.shape != sampled.shape:
+        raise ValueError(f"uniforms shape {u.shape} does not match inputs {sampled.shape}")
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ValueError("uniforms must lie in [0, 1) (NaN is rejected)")
+    work = np.empty((2,) + sampled.shape) if work is None else work
+    frac, out = work[0, ...], work[1, ...]
     np.floor(np.multiply(sampled, k, out=frac), out=out)
     frac -= out
     frac *= 1.0 - gamma
@@ -51,21 +57,24 @@ def respond(sampled, k: int, gamma: float, rng: np.random.Generator, work=None) 
     return frac.view(np.int64)
 
 
-def _floyd_sample(rng: np.random.Generator, n: int, d: int, t: int) -> np.ndarray:
-    """(n, t) int64 array whose rows are uniform t-subsets of {0, ..., d-1}.
+def _floyd_sample(rng: np.random.Generator, d: int, coords, uniforms) -> None:
+    """Fill int64 (t, m) `coords` with m uniform t-subsets of {0, ..., d-1},
+    one per column, and float64 (t, m) `uniforms` with `respond`'s uniforms.
 
-    Floyd's algorithm, one column per step: draw c from {0, ..., j} with
-    j = d - t + i; a row that already holds c takes j instead.  Built as
-    (t, n) so each step compares contiguous rows, then transposed.
+    One rng.random call (the stream of t calls of m) fills `uniforms`; row
+    i, Floyd's step i with j = d - t + i, splits each u into s = u (j + 1),
+    c = floor(s) <= j and u' = s - c in [0, 1), and a column that already
+    holds c takes j instead.  That step reads only c, so u' (uniform up to
+    the (j + 1) 2^-53 grid) is independent of the coordinate it ends up with.
     """
-    cols = np.empty((t, n), dtype=np.int64)
-    for i in range(t):
-        j = d - t + i
-        c = rng.integers(0, j + 1, size=n)
-        if i:
-            c[(cols[:i] == c).any(axis=0)] = j
-        cols[i] = c
-    return cols.T
+    t = len(coords)
+    rng.random(out=uniforms)
+    uniforms *= np.arange(d - t + 1, d + 1, dtype=float)[:, None]
+    np.copyto(coords, uniforms, casting="unsafe")  # floor, as s >= 0
+    uniforms -= coords
+    for i in range(1, t):
+        c = coords[i]
+        c[(coords[:i] == c).any(axis=0)] = d - t + i
 
 
 def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
@@ -74,8 +83,9 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     Returns (coords, values), both int64 (n, t): per user, a uniform
     t-subset of coordinates (in no meaningful order) and the randomized
     values there; only those entries are range-checked.  These are
-    `run_trial`'s blocks, joined, so both make the same draws; at t = 1 a
-    block of m users' coordinates is exactly rng.integers(0, d, size=m).
+    `run_trial`'s blocks, joined, so both make the same draws, one uniform
+    per entry: at t = 1 a block of m users is u = rng.random(m), coordinates
+    floor(u d) and values respond(x, k, gamma, u d - floor(u d)).
     """
     if np.shape(matrix) != (params.n, params.d):
         raise ValueError(
@@ -94,9 +104,10 @@ def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
     """Sample, gather and respond for params.n users, user i holding row
     i % rows of a (rows, d) table, 1 <= rows <= n (else ValueError), in
     blocks of max(1, BLOCK_ENTRIES // t) users: yields (coords, sampled,
-    values), each (m, t), views into one buffer that the next block
-    overwrites.  As the largest allocation, the buffer lifts glibc's trim
-    threshold once freed, so the heap keeps a trial's pages for the next one."""
+    values), each (m, t), transposed views of (t, m) rows of one buffer that
+    the next block overwrites.  As the largest allocation, the buffer lifts
+    glibc's trim threshold once freed, so the heap keeps a trial's pages for
+    the next one."""
     table = np.ascontiguousarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != params.d or not 0 < len(table) <= params.n:
         raise ValueError(
@@ -105,14 +116,15 @@ def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
         )
     rows, d = table.shape
     size = min(max(1, BLOCK_ENTRIES // params.t), params.n)
-    # coords, sampled, then respond's three; its last first holds the index
-    work = np.empty((5, size, params.t))
+    # coords, uniforms, sampled, then respond's two; its last first holds the index
+    work = np.empty((5, params.t * size))
     ring = np.resize(np.arange(0, table.size, d), rows + size)  # row offsets, cyclic
     for start in range(0, params.n, size):
         m = min(size, params.n - start)
-        coords, index = work[0, :m].view(np.int64), work[4, :m].view(np.int64)
-        coords[...] = _floyd_sample(rng, m, d, params.t)
-        np.add(ring[start % rows :][:m, None], coords, out=index)
+        block = work[:, : params.t * m].reshape(5, params.t, m)
+        coords, uniforms, index = block[0].view(np.int64), block[1], block[4].view(np.int64)
+        _floyd_sample(rng, d, coords, uniforms)
+        np.add(ring[start % rows :][:m], coords, out=index)
         # in range by construction, so "clip" lets take gather unbuffered
-        sampled = np.take(table, index, out=work[1, :m], mode="clip")
-        yield coords, sampled, respond(sampled, params.k, params.gamma, rng, work[2:, :m])
+        sampled = np.take(table, index, out=block[2], mode="clip")
+        yield coords.T, sampled.T, respond(sampled, params.k, params.gamma, uniforms, block[3:]).T

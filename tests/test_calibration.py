@@ -90,7 +90,7 @@ class TestProtocolParams:
     [
         (lambda: PrivacyBudget(True, 0.1), "epsilon"),
         (lambda: ProtocolParams(d=1, k=1, n=2, t=1, gamma=True), "gamma"),
-        (lambda: respond(np.array([0.5]), 3, True, np.random.default_rng(0)), "gamma"),
+        (lambda: respond(np.array([0.5]), 3, True, np.array([0.5])), "gamma"),
         (lambda: ExperimentConfig(gamma=True), "gamma"),
         (lambda: ExperimentConfig(axis="eps", values=(True, 0.5)), "eps sweep value"),
         (lambda: resolve_point(ExperimentConfig(eps=True)), "epsilon"),

@@ -408,7 +408,9 @@ class TestRunTrial:
         # 7 raw rows recycled over n = 50 users (not a multiple of 7), with
         # columns truncated (d = 4) or zero-padded (d = 9): the small table,
         # the dense (n, d) matrix and the dense composition that shuffled
-        # before analyzing all give bitwise the same result
+        # before analyzing all give bitwise the same result; n users fit in
+        # one block, whose true sums run_trial adds in the block's (t, n)
+        # order, so the reference adds them in that order too
         raw = np.random.default_rng(4).random((7, 6))
         params = ProtocolParams(d=d, k=2, n=50, t=t, gamma=0.3)
         dense = np.resize(fit_matrix(raw, 7, d), (params.n, d))
@@ -416,7 +418,7 @@ class TestRunTrial:
             rng = np.random.default_rng(seed)
             coords, values = randomize_batch(dense, params, rng)
             sampled = np.take_along_axis(dense, coords, axis=1)
-            truth = np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=d)
+            truth = np.bincount(coords.T.ravel(), weights=sampled.T.ravel(), minlength=d)
             est = analyze_arrays(*shuffle(coords, values, rng), params)
             want = empirical_mse(est, truth, params)
             for data in (fit_matrix(raw, 7, d), dense):

@@ -8,37 +8,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflesum import ProtocolParams, randomize_batch, respond
-from shufflesum.randomizer import _floyd_sample
+from shufflesum import ProtocolParams, randomize_batch, randomizer, respond
+from shufflesum.randomizer import _floyd_sample, _randomize_rows
+
+
+def draw(x, k, gamma, seed):
+    """respond on x with fresh uniforms from the generator seeded `seed`."""
+    x = np.asarray(x, dtype=float)
+    return respond(x, k, gamma, np.random.default_rng(seed).random(x.shape))
 
 
 class TestEncodeFixedPoint:
     """The encoding stage of `respond`, isolated by gamma = 0."""
 
     def test_exact_grid_points_are_deterministic(self):
-        rng = np.random.default_rng(0)
-        assert respond([0.5], 2, 0.0, rng).tolist() == [1]
-        assert respond([1.0], 3, 0.0, rng).tolist() == [3]
-        assert respond([0.0], 7, 0.0, rng).tolist() == [0]
-        assert np.all(respond(np.full(50, 0.25), 4, 0.0, rng) == 1)
+        assert draw([0.5], 2, 0.0, 0).tolist() == [1]
+        assert draw([1.0], 3, 0.0, 1).tolist() == [3]
+        assert draw([0.0], 7, 0.0, 2).tolist() == [0]
+        assert np.all(draw(np.full(50, 0.25), 4, 0.0, 3) == 1)
 
     def test_rejects_out_of_range(self):
-        rng = np.random.default_rng(0)
         for bad in (-0.1, 1.1, np.nan):
             with pytest.raises(ValueError):
-                respond([0.5, bad], 2, 0.0, rng)
+                draw([0.5, bad], 2, 0.0, 0)
 
     def test_bernoulli_mean(self):
         # x=0.3, k=1: output is Ber(0.3)
         draws = 200_000
-        out = respond(np.full(draws, 0.3), 1, 0.0, np.random.default_rng(7))
+        out = draw(np.full(draws, 0.3), 1, 0.0, 7)
         se = np.sqrt(0.3 * 0.7 / draws)
         assert abs(out.mean() - 0.3) < 3 * se
 
     @given(x=st.floats(0.0, 1.0), k=st.integers(1, 20))
     @settings(max_examples=200)
     def test_output_in_domain_and_adjacent(self, x, k):
-        (v,) = respond([x], k, 0.0, np.random.default_rng(1))
+        (v,) = draw([x], k, 0.0, 1)
         assert 0 <= v <= k
         assert abs(v - x * k) < 1.0 or v == x * k
 
@@ -56,7 +60,7 @@ class TestEncodeFixedPoint:
                 assert abs(mean - x) <= 3 * se + 1e-12
                 assert vals.var() <= 0.25 + 3e-3
         # and the kernel agrees with the closed form at one interior point
-        vals = respond(np.full(50_000, 0.55), 3, 0.0, np.random.default_rng(3))
+        vals = draw(np.full(50_000, 0.55), 3, 0.0, 3)
         assert vals.var() <= 1 / 4 + 5e-3  # raw-value variance cap, any k
         assert abs(vals.mean() / 3 - 0.55) < 3 * np.sqrt(0.25 / 50_000) / 3 + 1e-3
 
@@ -67,11 +71,11 @@ class TestRandomizedResponse:
 
     def test_gamma_zero_is_identity(self):
         v = np.arange(5)
-        assert np.array_equal(respond(v / 4, 4, 0.0, np.random.default_rng(0)), v)
+        assert np.array_equal(draw(v / 4, 4, 0.0, 0), v)
 
     def test_gamma_one_is_uniform(self):
         draws = 200_000
-        outs = respond(np.full(draws, 2 / 3), 3, 1.0, np.random.default_rng(11))
+        outs = draw(np.full(draws, 2 / 3), 3, 1.0, 11)
         se = np.sqrt(0.25 * 0.75 / draws)
         for sym in range(4):
             assert abs((outs == sym).mean() - 0.25) < 4 * se
@@ -79,22 +83,30 @@ class TestRandomizedResponse:
     def test_truth_retention_probability(self):
         # Pr[output = v] = 1 - gamma + gamma/(k+1) = 0.8 + 0.2/3
         draws = 200_000
-        outs = respond(np.full(draws, 0.5), 2, 0.2, np.random.default_rng(5))
+        outs = draw(np.full(draws, 0.5), 2, 0.2, 5)
         p = 0.8 + 0.2 / 3
         se = np.sqrt(p * (1 - p) / draws)
         assert abs((outs == 1).mean() - p) < 3 * se
 
     def test_rejects_bad_inputs(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            respond([1.5], 4, 0.1, rng)
+            respond([1.5], 4, 0.1, [0.5])
         with pytest.raises(ValueError):
-            respond([-0.25], 4, 0.1, rng)
+            respond([-0.25], 4, 0.1, [0.5])
         # ProtocolParams refuses the k and gamma that respond refuses
         with pytest.raises(ValueError):
             ProtocolParams(d=1, k=0, n=10, t=1, gamma=0.1)
         with pytest.raises(ValueError):
             ProtocolParams(d=1, k=4, n=10, t=1, gamma=1.5)
+
+    @pytest.mark.parametrize(
+        "uniforms", [[0.5], [[0.5, 0.5]], [0.5, -0.1], [0.5, 1.0], [0.5, np.nan]]
+    )
+    def test_rejects_bad_uniforms(self, uniforms):
+        # one uniform in [0, 1) per entry: u = -0.1 at gamma = 0.3 would give
+        # the value floor(-0.1 * 4 / 0.3) = -2, and NaN the int64 minimum
+        with pytest.raises(ValueError, match="^uniforms"):
+            respond([0.5, 0.5], 3, 0.3, uniforms)
 
     @pytest.mark.parametrize(
         "field, k, gamma",
@@ -104,44 +116,92 @@ class TestRandomizedResponse:
     def test_rejects_bad_k_and_gamma(self, field, k, gamma):
         # a negative gamma is no blanket, so the output would have no privacy
         with pytest.raises(ValueError, match=f"^{field} must"):
-            respond(np.full(4, 0.5), k, gamma, np.random.default_rng(0))
+            respond(np.full(4, 0.5), k, gamma, np.full(4, 0.5))
 
     @given(x=st.floats(0.0, 1.0), k=st.integers(1, 9), gamma=st.floats(0.0, 1.0))
     @settings(max_examples=100)
     def test_output_stays_in_domain(self, x, k, gamma):
-        out = respond(np.full(50, x), k, gamma, np.random.default_rng(2))
+        out = draw(np.full(50, x), k, gamma, 2)
         assert out.dtype == np.int64
         assert out.min() >= 0 and out.max() <= k
 
 
-class StubRng:
-    """A generator whose `random` hands out chosen uniforms, so each branch
-    of `respond`'s one-uniform law can be driven directly."""
+class UniformsRng:
+    """A generator whose `random` fills its output with chosen uniforms, so
+    the sampler's split of each uniform can be driven directly."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, size=None, out=None):
+    def random(self, out):
         out[...] = self.u
         return out
 
 
+class CountingRng:
+    """A seeded generator that counts its `random` and `integers` calls;
+    any other method is missing, so a call to it fails."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = {"random": 0, "integers": 0}
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return self.rng.random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls["integers"] += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 class TestOneUniformLaw:
-    """respond draws one u per entry: u < gamma gives floor(u (k+1)/gamma)
-    clipped to k, otherwise floor(xk) + [u < gamma + f (1 - gamma)]."""
+    """respond reads one u per entry: u < gamma gives floor(u (k+1)/gamma)
+    clipped to k, otherwise floor(xk) + [u < gamma + f (1 - gamma)].  The
+    sampler splits each of its uniforms u into that u and a coordinate."""
+
+    @pytest.mark.parametrize("m", [3, 64, 100])
+    def test_split_edges(self, m):
+        # u = 0, u = j/m as rounded, and the largest u below 1, at t = 1
+        # and d = m: c <= m - 1, 0 <= u' < 1, and c + u' is u m exactly
+        us = np.concatenate([[0.0], np.arange(1, m) / m, [np.nextafter(1.0, 0.0)]])
+        coords, uniforms = np.empty((1, m + 1), dtype=np.int64), np.empty((1, m + 1))
+        _floyd_sample(UniformsRng(us[None, :]), m, coords, uniforms)
+        (c,), (rest,) = coords, uniforms
+        assert c.min() >= 0 and c.max() <= m - 1
+        assert rest.min() >= 0.0 and rest.max() < 1.0
+        assert (c[0], rest[0], c[-1]) == (0, 0.0, m - 1)
+        assert np.array_equal(c + rest, us * m)
+        # j/m lands on j, or just below it (on j - 1, u' near 1) if rounded down
+        j = np.arange(1, m)
+        assert np.all((c[1:-1] == j) | ((c[1:-1] == j - 1) & (rest[1:-1] > 0.5)))
+
+    def test_one_random_call_per_block(self, monkeypatch):
+        # one uniform per entry: each block fills its t x m uniforms with
+        # one random call (the stream of t calls of m, one per column) and
+        # draws nothing else; 40 users in blocks of 8 (t = 4) and 32 (t = 1)
+        monkeypatch.setattr(randomizer, "BLOCK_ENTRIES", 32)
+        for t, blocks in ((4, 5), (1, 2)):
+            params = ProtocolParams(d=6, k=3, n=40, t=t, gamma=0.3)
+            rng = CountingRng(0)
+            rows = _randomize_rows(np.full((5, 6), 0.5), params, rng)
+            for b, (coords, _, _) in enumerate(rows, start=1):
+                assert rng.calls == {"random": b, "integers": 0}
+                assert coords.size <= 32
+            assert b == blocks
 
     @pytest.mark.parametrize("k, gamma", [(1, 0.9), (4, 0.1), (4, 0.05), (3, 0.1705)])
     def test_just_below_gamma_gives_k_through_the_clip(self, k, gamma):
         u = np.nextafter(gamma, 0.0)
         x = np.array([0.0, 0.5, 1.0])
-        assert np.all(respond(x, k, gamma, StubRng(np.full(3, u))) == k)
+        assert np.all(respond(x, k, gamma, np.full(3, u)) == k)
         if (k, gamma) != (3, 0.1705):  # these reach k + 1 before the clip
             assert np.floor(u * ((k + 1) / gamma)) == k + 1
 
     def test_u_equal_to_gamma_takes_the_encoding_branch(self):
         k, gamma = 4, 0.3
         x = np.array([0.0, 0.25, 1.0, 0.3, 0.9])  # f = 0 on the grid, > 0 off it
-        out = respond(x, k, gamma, StubRng(np.full(5, gamma)))
+        out = respond(x, k, gamma, np.full(5, gamma))
         # u = gamma lies below gamma + f (1 - gamma) exactly when f > 0
         assert out.tolist() == [0, 1, 4, 2, 4]
 
@@ -151,20 +211,20 @@ class TestOneUniformLaw:
         frac = scaled - np.floor(scaled)
         threshold = frac * (1.0 - gamma) + gamma
         us = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)]
-        out = respond(np.full(3, x), k, gamma, StubRng(us))
+        out = respond(np.full(3, x), k, gamma, us)
         assert out.tolist() == [np.floor(scaled) + 1, np.floor(scaled), np.floor(scaled)]
 
     def test_gamma_zero_never_reaches_the_blanket_division(self):
         # (k + 1) / gamma would raise ZeroDivisionError at gamma = 0
         x = np.array([0.0, 0.5, 0.5, 1.0])
-        out = respond(x, 2, 0.0, StubRng([0.0, 0.0, 0.999, np.nextafter(1.0, 0.0)]))
+        out = respond(x, 2, 0.0, [0.0, 0.0, 0.999, np.nextafter(1.0, 0.0)])
         assert out.tolist() == [0, 1, 1, 2]
 
     def test_gamma_one_always_takes_the_blanket_branch(self):
         k = 3
         us = np.array([0.0, 0.2, 0.26, 0.5, 0.75, np.nextafter(1.0, 0.0)])
         for x in (0.0, 0.4, 1.0):
-            out = respond(np.full(len(us), x), k, 1.0, StubRng(us))
+            out = respond(np.full(len(us), x), k, 1.0, us)
             assert out.tolist() == [0, 0, 1, 2, 3, 3]
 
 
@@ -187,8 +247,9 @@ class TestRandomizeVector:
 
     def test_coordinate_sampling_uniform(self):
         draws = 20_000
-        coords = _floyd_sample(np.random.default_rng(9), draws, 4, 1)
-        freq = np.bincount(coords[:, 0], minlength=4) / draws
+        coords = np.empty((1, draws), dtype=np.int64)
+        _floyd_sample(np.random.default_rng(9), 4, coords, np.empty((1, draws)))
+        freq = np.bincount(coords[0], minlength=4) / draws
         assert np.all(np.abs(freq - 0.25) < 0.01)
 
     def test_pure_blanket_value_distribution_uniform(self):
@@ -289,15 +350,55 @@ class TestRandomizeBatch:
         )
         assert np.array_equal(np.sort(coords, axis=1), np.tile(np.arange(7), (300, 1)))
 
-    def test_t1_draw_matches_plain_integers(self):
-        # pins the t = 1 random stream: coordinates are rng.integers(0, d, n)
+    def test_t1_draw_is_one_uniform_per_user(self):
+        # pins the t = 1 random stream: one rng.random(n) call gives both
+        # arrays, coordinates floor(u d) and values respond(x, k, gamma,
+        # u d - floor(u d)) at the sampled x
         params = self._params(n=1000, d=9, t=1)
         matrix = np.random.default_rng(0).random((params.n, params.d))
         for seed in (0, 5, 77):
-            coords, _ = randomize_batch(matrix, params, np.random.default_rng(seed))
-            expected = np.random.default_rng(seed).integers(0, params.d, size=params.n)
-            assert coords.dtype == np.int64
+            coords, values = randomize_batch(matrix, params, np.random.default_rng(seed))
+            s = np.random.default_rng(seed).random(params.n) * params.d
+            expected = np.floor(s).astype(np.int64)
+            x = matrix[np.arange(params.n), expected]
+            assert coords.dtype == values.dtype == np.int64
             assert np.array_equal(coords[:, 0], expected)
+            assert np.array_equal(
+                values[:, 0], respond(x, params.k, params.gamma, s - expected)
+            )
+
+    def test_message_law_at_t2(self):
+        # ~2e5 users at d = 3, t = 2: each message, a coordinate pair and
+        # the values there, must be within 5 SE of the per-user law (a
+        # uniform 2-subset, then respond's law per entry, independently),
+        # so the uniform that respond reads is independent of Floyd's
+        # replacement; the law with x reversed must fail the same check
+        x, gamma = np.array([0.2, 0.5, 0.9]), 0.4
+        params = self._params(n=200_000, d=3, k=1, t=2, gamma=gamma)
+        coords, values = randomize_batch(
+            np.tile(x, (params.n, 1)), params, np.random.default_rng(31)
+        )
+        order = np.argsort(coords, axis=1)
+        low, high = np.take_along_axis(values, order, axis=1).T
+        missing = 3 - coords.sum(axis=1)  # names the pair {0, 1, 2} - {missing}
+        freq = np.bincount(4 * missing + 2 * low + high, minlength=12) / params.n
+
+        def law(x):
+            one = (1 - gamma) * x + gamma / 2  # Pr[value 1] at k = 1
+            p = np.empty(12)
+            for missing, (a, b) in zip((2, 1, 0), ((0, 1), (0, 2), (1, 2))):
+                for va, vb in itertools.product((0, 1), repeat=2):
+                    pa = one[a] if va else 1 - one[a]
+                    pb = one[b] if vb else 1 - one[b]
+                    p[4 * missing + 2 * va + vb] = pa * pb / 3
+            return p
+
+        def within_5_se(p):
+            return bool(np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / params.n)))
+
+        assert law(x).sum() == pytest.approx(1.0, rel=1e-12)
+        assert within_5_se(law(x))
+        assert not within_5_se(law(x[::-1]))
 
     def test_value_mean_matches_closed_form(self):
         # E[y] = (1-gamma) x k + gamma k/2 for constant input x
