@@ -3,9 +3,9 @@
 Submissions travel as a pair of integer (m, t) arrays (coordinates and
 values, one row per user).  The shuffler is an in-process uniform
 permutation of the rows: it only unbinds users from their submissions.
-The analyzer (`analyze_arrays`) validates the arrays (`_tally` is the one
-validator), buckets received values by coordinate, rescales by 1/k, and
-removes the expected blanket contribution (debiasing).
+The analyzer (`analyze_arrays`) validates the arrays (it is the one
+validator), buckets received values by coordinate (`_tally`), rescales by
+1/k, and removes the expected blanket contribution (debiasing).
 """
 
 from __future__ import annotations
@@ -32,35 +32,14 @@ def shuffle(coords, values, rng: np.random.Generator):
     return coords[perm], values[perm]
 
 
-def _tally(coords, values, params: ProtocolParams):
-    """Validate a batch, then count it per coordinate.
-
-    Both arrays must be integer (not bool) of shape (m, t), with values in
-    {0, ..., k} and distinct coordinates in {0, ..., d-1} per row, or
-    MalformedMessageError is raised.  Returns the per-coordinate totals
-    of the values (integers, so exactly invariant under any reordering of
-    the rows) and counts; a coordinate never received reports 0 and 0.
-    """
-    coords = np.asarray(coords)
-    values = np.asarray(values)
-    if coords.shape != values.shape or coords.ndim != 2 or coords.shape[1] != params.t:
-        raise MalformedMessageError(
-            f"coords {coords.shape} and values {values.shape} must both be (m, t={params.t})"
-        )
-    if not (np.issubdtype(coords.dtype, np.integer) and np.issubdtype(values.dtype, np.integer)):
-        raise MalformedMessageError(
-            f"coords and values must be integers, got {coords.dtype} and {values.dtype}"
-        )
-    if coords.size and (values.min() < 0 or values.max() > params.k):
-        raise MalformedMessageError(f"values outside [0, {params.k}]")
-    if coords.size and (coords.min() < 0 or coords.max() >= params.d):
-        raise MalformedMessageError(f"coordinates outside [0, {params.d - 1}]")
-    # both (t, m): contiguous rows to compare, and no copy for `run_trial`'s blocks
-    cols, vals = np.ascontiguousarray(coords.T), values.T.ravel()
-    if any(np.any(cols[:i] == cols[i]) for i in range(1, params.t)):
-        raise MalformedMessageError("message coordinates must be distinct")
-    totals = np.bincount(cols.ravel(), weights=vals, minlength=params.d)
-    return totals, np.bincount(cols.ravel(), minlength=params.d)
+def _tally(coords, values, d: int):
+    """Count a batch per coordinate: coords and values of one shape, in any
+    layout, that `analyze_arrays` checked or the randomizer built valid.
+    Returns the per-coordinate totals of the values (integers, so exactly
+    invariant under any reordering of the entries) and counts; a
+    coordinate never received reports 0 and 0."""
+    cols = coords.ravel()
+    return np.bincount(cols, weights=values.ravel(), minlength=d), np.bincount(cols, minlength=d)
 
 
 def _debias(totals, counts, params: ProtocolParams) -> np.ndarray:
@@ -80,7 +59,26 @@ def _debias(totals, counts, params: ProtocolParams) -> np.ndarray:
 
 
 def analyze_arrays(coords, values, params: ProtocolParams) -> np.ndarray:
-    """The analyzer: `_tally` (the one validator), then `_debias`.  Returns
-    the float64 (d,) per-coordinate sum estimates."""
-    return _debias(*_tally(coords, values, params), params)
-
+    """The analyzer, and the one validator of outside batches: both arrays
+    must be integer (not bool) of shape (m, t), with values in {0, ..., k}
+    and distinct coordinates in {0, ..., d-1} per row, or
+    MalformedMessageError is raised.  Then `_tally`, then `_debias`.
+    Returns the float64 (d,) per-coordinate sum estimates."""
+    coords = np.asarray(coords)
+    values = np.asarray(values)
+    if coords.shape != values.shape or coords.ndim != 2 or coords.shape[1] != params.t:
+        raise MalformedMessageError(
+            f"coords {coords.shape} and values {values.shape} must both be (m, t={params.t})"
+        )
+    if not (np.issubdtype(coords.dtype, np.integer) and np.issubdtype(values.dtype, np.integer)):
+        raise MalformedMessageError(
+            f"coords and values must be integers, got {coords.dtype} and {values.dtype}"
+        )
+    if coords.size and (values.min() < 0 or values.max() > params.k):
+        raise MalformedMessageError(f"values outside [0, {params.k}]")
+    if coords.size and (coords.min() < 0 or coords.max() >= params.d):
+        raise MalformedMessageError(f"coordinates outside [0, {params.d - 1}]")
+    cols = np.ascontiguousarray(coords.T)  # (t, m): contiguous rows to compare
+    if any(np.any(cols[:i] == cols[i]) for i in range(1, params.t)):
+        raise MalformedMessageError("message coordinates must be distinct")
+    return _debias(*_tally(coords, values, params.d), params)

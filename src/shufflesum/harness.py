@@ -299,9 +299,9 @@ def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialR
 
     `table` is (rows, d) with 1 <= rows <= n, and user i holds row
     i % rows, so an (n, d) matrix gives each user its own row.  Blocks of
-    users (`randomizer._randomize_rows`, which checks the table) add up
-    their true sums and exact integer totals and counts: memory is
-    O(block + rows + d) at any n.
+    users (`randomizer._randomize_rows`, which checks the table and builds
+    valid blocks, so `_tally` counts them unchecked) add up their true sums
+    and exact integer totals and counts: memory is O(block + rows + d).
 
     The shuffler's permutation is skipped, since it cannot change the
     result: the analyzer sums integer values in float64, which is exact
@@ -310,9 +310,8 @@ def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialR
     """
     truth = totals = counts = 0
     for coords, sampled, values in _randomize_rows(table, params, rng):
-        # summed in the block's (t, m) order, which the .T views hold without a copy
-        truth += np.bincount(coords.T.ravel(), weights=sampled.T.ravel(), minlength=params.d)
-        block_totals, block_counts = _tally(coords, values, params)
+        truth += np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
+        block_totals, block_counts = _tally(coords, values, params.d)
         totals, counts = totals + block_totals, counts + block_counts
     return empirical_mse(_debias(totals, counts, params), truth, params)
 

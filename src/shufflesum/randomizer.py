@@ -83,9 +83,10 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     Returns (coords, values), both int64 (n, t): per user, a uniform
     t-subset of coordinates (in no meaningful order) and the randomized
     values there; only those entries are range-checked.  These are
-    `run_trial`'s blocks, joined, so both make the same draws, one uniform
-    per entry: at t = 1 a block of m users is u = rng.random(m), coordinates
-    floor(u d) and values respond(x, k, gamma, u d - floor(u d)).
+    `run_trial`'s (t, m) blocks, transposed and joined, so both make the
+    same draws, one uniform per entry: at t = 1 a block of m users is
+    u = rng.random(m), coordinates floor(u d) and values
+    respond(x, k, gamma, u d - floor(u d)).
     """
     if np.shape(matrix) != (params.n, params.d):
         raise ValueError(
@@ -94,9 +95,10 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     coords = np.empty((params.n, params.t), dtype=np.int64)
     values = np.empty_like(coords)
     start = 0
-    for c, _, v in _randomize_rows(matrix, params, rng):
-        coords[start : start + len(c)], values[start : start + len(c)] = c, v
-        start += len(c)
+    for c, _, v in _randomize_rows(matrix, params, rng):  # (t, m) blocks
+        m = c.shape[1]
+        coords[start : start + m], values[start : start + m] = c.T, v.T
+        start += m
     return coords, values
 
 
@@ -104,8 +106,8 @@ def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
     """Sample, gather and respond for params.n users, user i holding row
     i % rows of a (rows, d) table, 1 <= rows <= n (else ValueError), in
     blocks of max(1, BLOCK_ENTRIES // t) users: yields (coords, sampled,
-    values), each (m, t), transposed views of (t, m) rows of one buffer that
-    the next block overwrites.  As the largest allocation, the buffer lifts
+    values), each (t, m), one user per column, rows of one buffer that the
+    next block overwrites.  As the largest allocation, the buffer lifts
     glibc's trim threshold once freed, so the heap keeps a trial's pages for
     the next one."""
     table = np.ascontiguousarray(table, dtype=float)
@@ -127,4 +129,4 @@ def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
         np.add(ring[start % rows :][:m], coords, out=index)
         # in range by construction, so "clip" lets take gather unbuffered
         sampled = np.take(table, index, out=block[2], mode="clip")
-        yield coords.T, sampled.T, respond(sampled, params.k, params.gamma, uniforms, block[3:]).T
+        yield coords, sampled, respond(sampled, params.k, params.gamma, uniforms, block[3:])

@@ -215,6 +215,33 @@ class TestAnalyze:
         assert np.array_equal(base, shuffled)
         assert np.array_equal(counts_of(coords, 7), counts_of(shuffled_coords, 7))
 
+    @pytest.mark.parametrize(
+        "as_coords, as_values",
+        [
+            (np.asfortranarray, np.ascontiguousarray),
+            (np.ascontiguousarray, np.asfortranarray),
+            (np.asfortranarray, np.asfortranarray),
+            (lambda a: a.astype(np.int32), np.ascontiguousarray),
+            (np.ascontiguousarray, lambda a: a.astype(np.int8)),
+        ],
+        ids=["F-coords", "F-values", "both-F", "int32-coords", "int8-values"],
+    )
+    def test_memory_order_and_dtype_keep_the_result(self, as_coords, as_values):
+        # the tally pairs each coordinate with its value by index, whatever
+        # the memory order of either array, so the result is bitwise the
+        # C-ordered int64 one
+        params = ProtocolParams(d=7, k=4, n=400, t=3, gamma=0.3)
+        matrix = np.random.default_rng(5).random((params.n, params.d))
+        coords, values = randomize_batch(matrix, params, np.random.default_rng(6))
+        assert coords.flags.c_contiguous and values.flags.c_contiguous
+        want = analyze_arrays(coords, values, params)
+        coords, values = as_coords(coords), as_values(values)
+        if as_coords is np.asfortranarray:
+            assert not coords.flags.c_contiguous
+        if as_values is np.asfortranarray:
+            assert not values.flags.c_contiguous
+        assert analyze_arrays(coords, values, params).tobytes() == want.tobytes()
+
 
 class TestEstimateAverage:
     def test_population_mean_recovery(self):

@@ -426,13 +426,16 @@ class TestRunTrial:
                 assert got.total_squared_error == want.total_squared_error
                 assert got.normalized_mse == want.normalized_mse
 
-    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("t", [1, 3, 6])
     def test_blocks_match_the_whole_batch(self, t, monkeypatch):
         # 18 entries per block: n = 50 users in blocks of 18, 18, 14 at
-        # t = 1 and eight of 6 plus one of 2 at t = 3.  Summed block by
-        # block, the trial's estimates equal the analyzer's on the whole
-        # shuffled batch bit for bit; its true sums are added in another
-        # order, so the MSE matches to rounding
+        # t = 1, eight of 6 plus one of 2 at t = 3, and sixteen of 3 plus
+        # one of 2 at t = d = 6, where Floyd's replacement step fires in
+        # every column.  The trial counts its blocks unchecked; joined, they
+        # pass the analyzer's validator.  Summed block by block, the trial's
+        # estimates equal the analyzer's on the whole shuffled batch bit for
+        # bit; its true sums are added in another order, so the MSE matches
+        # to rounding
         monkeypatch.setattr(randomizer, "BLOCK_ENTRIES", 18)
         debiased = []
 

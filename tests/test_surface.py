@@ -15,7 +15,7 @@ README = SRC.parents[1] / "README.md"
 # Each underscore name that one module of the package imports from another,
 # with the reason it is shared rather than kept behind its module.
 PRIVATE_IMPORTS = {
-    "harness <- aggregation._tally": "run_trial tallies each block and debiases once",
+    "harness <- aggregation._tally": "run_trial counts the blocks it built, unchecked",
     "harness <- aggregation._debias": "run_trial tallies each block and debiases once",
     "harness <- randomizer._randomize_rows": "the block generator of run_trial",
     "harness <- calibration._check_integer": "the integer rule for settings",
