@@ -31,6 +31,6 @@ from .harness import (
     run_trial,
     trial_seed,
 )
-from .randomizer import randomize_batch, respond
+from .randomizer import randomize_batch
 
 __version__ = "0.1.0"

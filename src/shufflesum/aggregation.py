@@ -24,8 +24,8 @@ def shuffle(coords, values, rng: np.random.Generator):
     applied to the rows of both (m, t) arrays."""
     coords = np.asarray(coords)
     values = np.asarray(values)
-    if len(coords) == 0:
-        raise ValueError("cannot shuffle an empty batch")
+    if coords.ndim == 0 or values.ndim == 0 or len(coords) == 0:
+        raise ValueError("cannot shuffle a 0-d or empty batch")
     if len(values) != len(coords):
         raise ValueError(f"{len(coords)} coordinate rows but {len(values)} value rows")
     perm = rng.permutation(len(coords))

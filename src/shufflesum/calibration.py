@@ -205,7 +205,8 @@ def _bound(params: ProtocolParams, budget: PrivacyBudget, analysis: str) -> floa
 
 
 def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> float:
-    """Normalized-MSE upper bound for the general-t mechanism.
+    """The paper's normalized-MSE bound for general t, at the continuous k*
+    (k enters only through gamma; not an upper bound at the point's own k).
 
     Low regime:  2 t d^(8/3) (14 ln(1/delta) ln(2t/delta))^(2/3)
                  / ((1-gamma)^2 n^(5/3) eps^(4/3))
@@ -215,7 +216,8 @@ def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> float:
 
 
 def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> float:
-    """Tightened normalized-MSE upper bound for t = 1 (max of two branches)."""
+    """The paper's tightened t = 1 bound (max of two branches), at k* like
+    `bound_mse_general`: not an upper bound at the point's own k."""
     if params.t != 1:
         raise ValueError(f"t=1 bound requested with t={params.t}")
     return _bound(params, budget, "t1")

@@ -279,12 +279,12 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
 
 def empirical_mse(estimates, truth, params: ProtocolParams) -> TrialResult:
     """Per-coordinate squared errors of the debiased sum estimates (the
-    analyzer's (d,) array) against the sampled-coordinate true sums,
-    totalled and (d/n)^2-normalized."""
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != estimates.shape:
+    analyzer's (d,) array) against the sampled-coordinate true sums, also
+    (d,) (else ValueError), totalled and (d/n)^2-normalized."""
+    estimates, truth = np.asarray(estimates, dtype=float), np.asarray(truth, dtype=float)
+    if estimates.shape != (params.d,) or truth.shape != (params.d,):
         raise ValueError(
-            f"truth shape {truth.shape} does not match estimates {estimates.shape}"
+            f"estimates {estimates.shape} and truth {truth.shape} must both be (d={params.d},)"
         )
     total = float(((estimates - truth) ** 2).sum())
     return TrialResult(

@@ -1,5 +1,7 @@
 """Per-user local randomizer: coordinate sampling, then one array kernel
-(`respond`) for fixed-point encoding and randomized response.
+(`_respond`) for fixed-point encoding and randomized response, reached only
+through `_randomize_rows`, behind `randomize_batch` (the public entry) and
+`run_trial`.
 
 The wire format is a pair of int64 (m, t) arrays: per user, t distinct
 coordinate indices and the randomized values in {0, ..., k}.  Coordinate
@@ -11,37 +13,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import ProtocolParams, _check_integer
+from .calibration import ProtocolParams
 
 BLOCK_ENTRIES = 2**15  # entries (users x t) per block of `_randomize_rows`
 
 
-def respond(sampled, k: int, gamma: float, uniforms, work=None) -> np.ndarray:
+def _respond(sampled, k: int, gamma: float, u, work) -> np.ndarray:
     """The mechanism kernel: encode x in [0, 1] as floor(x k) + Ber(f),
     f = x k - floor(x k), so E = x k; with probability gamma output a
     uniform value on {0, ..., k} instead.  One uniform u in [0, 1) per
-    entry, read from `uniforms` (shaped as sampled; no draw here): u < gamma
-    gives floor(u (k + 1) / gamma) clipped to k, else floor(x k) +
-    [u < gamma + f (1 - gamma)]; the blanket value is uniform up to the grid
-    of u, as both decisions are: m 2^-53 for `_floyd_sample`'s, split off a
-    draw over m values.  Works in float64 `work` (2, *sampled.shape), new if
-    None; returns int64, a view of work[0].  An input outside [0, 1] or NaN,
-    uniforms of another shape or outside [0, 1), a non-integer k, k < 1 or a
-    gamma outside [0, 1] raises ValueError."""
-    _check_integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if isinstance(gamma, bool) or not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    sampled = np.asarray(sampled, dtype=float)
-    if sampled.size and not (sampled.min() >= 0.0 and sampled.max() <= 1.0):
-        raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
-    u = np.asarray(uniforms, dtype=float)
-    if u.shape != sampled.shape:
-        raise ValueError(f"uniforms shape {u.shape} does not match inputs {sampled.shape}")
-    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
-        raise ValueError("uniforms must lie in [0, 1) (NaN is rejected)")
-    work = np.empty((2,) + sampled.shape) if work is None else work
+    entry, shaped as sampled (no draw here): u < gamma gives floor(u (k + 1)
+    / gamma) clipped to k, else floor(x k) + [u < gamma + f (1 - gamma)];
+    the blanket value is uniform up to the grid of u, as both decisions
+    are: m 2^-53 for `_floyd_sample`'s, split off a draw over m values.
+    Works in float64 `work` (2, *sampled.shape); returns int64, a view of
+    work[0].  The caller checks the inputs: `_randomize_rows` each gathered
+    x, `ProtocolParams` k and gamma; `_floyd_sample` builds u."""
     frac, out = work[0, ...], work[1, ...]
     np.floor(np.multiply(sampled, k, out=frac), out=out)
     frac -= out
@@ -59,7 +46,7 @@ def respond(sampled, k: int, gamma: float, uniforms, work=None) -> np.ndarray:
 
 def _floyd_sample(rng: np.random.Generator, d: int, coords, uniforms) -> None:
     """Fill int64 (t, m) `coords` with m uniform t-subsets of {0, ..., d-1},
-    one per column, and float64 (t, m) `uniforms` with `respond`'s uniforms.
+    one per column, and float64 (t, m) `uniforms` with `_respond`'s uniforms.
 
     One rng.random call (the stream of t calls of m) fills `uniforms`; row
     i, Floyd's step i with j = d - t + i, splits each u into s = u (j + 1),
@@ -82,11 +69,11 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
 
     Returns (coords, values), both int64 (n, t): per user, a uniform
     t-subset of coordinates (in no meaningful order) and the randomized
-    values there; only those entries are range-checked.  These are
-    `run_trial`'s (t, m) blocks, transposed and joined, so both make the
-    same draws, one uniform per entry: at t = 1 a block of m users is
-    u = rng.random(m), coordinates floor(u d) and values
-    respond(x, k, gamma, u d - floor(u d)).
+    values there; only those entries are range-checked (`_randomize_rows`).
+    These are `run_trial`'s (t, m) blocks, transposed and joined, so both
+    make the same draws, one uniform per entry: at t = 1 a block of m users
+    is u = rng.random(m), coordinates floor(u d) and values
+    _respond(x, k, gamma, u d - floor(u d)).
     """
     if np.shape(matrix) != (params.n, params.d):
         raise ValueError(
@@ -104,12 +91,12 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
 
 def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
     """Sample, gather and respond for params.n users, user i holding row
-    i % rows of a (rows, d) table, 1 <= rows <= n (else ValueError), in
-    blocks of max(1, BLOCK_ENTRIES // t) users: yields (coords, sampled,
-    values), each (t, m), one user per column, rows of one buffer that the
-    next block overwrites.  As the largest allocation, the buffer lifts
-    glibc's trim threshold once freed, so the heap keeps a trial's pages for
-    the next one."""
+    i % rows of a (rows, d) table, 1 <= rows <= n, each gathered entry in
+    [0, 1] (else ValueError; NaN too), in blocks of max(1, BLOCK_ENTRIES // t)
+    users: yields (coords, sampled, values), each (t, m), one user per
+    column, rows of one buffer that the next block overwrites.  As the
+    largest allocation, the buffer lifts glibc's trim threshold once freed,
+    so the heap keeps a trial's pages for the next one."""
     table = np.ascontiguousarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != params.d or not 0 < len(table) <= params.n:
         raise ValueError(
@@ -118,7 +105,7 @@ def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
         )
     rows, d = table.shape
     size = min(max(1, BLOCK_ENTRIES // params.t), params.n)
-    # coords, uniforms, sampled, then respond's two; its last first holds the index
+    # coords, uniforms, sampled, then _respond's two; its last first holds the index
     work = np.empty((5, params.t * size))
     ring = np.resize(np.arange(0, table.size, d), rows + size)  # row offsets, cyclic
     for start in range(0, params.n, size):
@@ -129,4 +116,6 @@ def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
         np.add(ring[start % rows :][:m], coords, out=index)
         # in range by construction, so "clip" lets take gather unbuffered
         sampled = np.take(table, index, out=block[2], mode="clip")
-        yield coords, sampled, respond(sampled, params.k, params.gamma, uniforms, block[3:])
+        if not (sampled.min() >= 0.0 and sampled.max() <= 1.0):
+            raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
+        yield coords, sampled, _respond(sampled, params.k, params.gamma, uniforms, block[3:])

@@ -55,6 +55,23 @@ class TestEmpiricalMse:
         with pytest.raises(ValueError):
             empirical_mse(np.array([1.0, 2.0, 3.0]), [1.0, 2.0], params)
 
+    def test_accepts_list_estimates(self):
+        # a list once raised AttributeError (no .shape) instead of scoring
+        params = ProtocolParams(d=2, k=1, n=2, t=1, gamma=0.0)
+        tr = empirical_mse([0.0, 1.0], [0.0, 0.0], params)
+        assert tr.total_squared_error == 1.0
+
+    @pytest.mark.parametrize(
+        "estimates, truth",
+        [([[0.0, 1.0]], [[0.0, 0.0]]), ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]), (0.0, 0.0)],
+        ids=["row-matrices", "d-plus-one", "scalars"],
+    )
+    def test_requires_shape_d(self, estimates, truth):
+        # (1, 2) arrays at d = 2 once scored as if they were (d,)
+        params = ProtocolParams(d=2, k=1, n=2, t=1, gamma=0.0)
+        with pytest.raises(ValueError, match=r"must both be \(d=2,\)"):
+            empirical_mse(estimates, truth, params)
+
     def test_quantization_only_regime_capped(self):
         # gamma=0: the only error is the fixed-point step, variance <= 1/(4k^2)
         params = ProtocolParams(d=5, k=2, n=500, t=1, gamma=0.0)

@@ -48,6 +48,12 @@ class TestShuffle:
         with pytest.raises(ValueError):
             shuffle(np.empty((0, 1), int), np.empty((0, 1), int), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("coords, values", [(3, 3), ([[0], [1]], 3)], ids=["both", "values"])
+    def test_zero_dim_batch_rejected(self, coords, values):
+        # len() of a 0-d array once raised TypeError
+        with pytest.raises(ValueError, match="0-d"):
+            shuffle(np.array(coords), np.array(values), np.random.default_rng(0))
+
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             shuffle([[0], [1]], [[1]], np.random.default_rng(0))

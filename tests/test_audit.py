@@ -270,7 +270,7 @@ def outcome_distribution(matrix, params: ProtocolParams) -> np.ndarray:
     coordinate j lands in cell j (k+1) + y with probability
     ((1 - gamma) enc(y) + gamma / (k+1)) / d, where enc puts 1 - f on
     floor(x k) and f on floor(x k) + 1, f = x k - floor(x k): the law of
-    `randomizer.respond` after a uniform coordinate draw.
+    `randomizer._respond` after a uniform coordinate draw.
     """
     if params.t != 1:
         raise ValueError("outcome enumeration requires t = 1")

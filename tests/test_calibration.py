@@ -20,7 +20,6 @@ from shufflesum import (
     choose_k_t1,
     compose_epsilon_prime,
     resolve_point,
-    respond,
 )
 from shufflesum.cli import main
 
@@ -64,6 +63,7 @@ class TestProtocolParams:
             dict(d=5, k=1, n=10, t=6, gamma=0.1),
             dict(d=5, k=1, n=10, t=1, gamma=-0.1),
             dict(d=5, k=1, n=10, t=1, gamma=1.1),
+            dict(d=5, k=1, n=10, t=1, gamma=float("nan")),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -90,12 +90,11 @@ class TestProtocolParams:
     [
         (lambda: PrivacyBudget(True, 0.1), "epsilon"),
         (lambda: ProtocolParams(d=1, k=1, n=2, t=1, gamma=True), "gamma"),
-        (lambda: respond(np.array([0.5]), 3, True, np.array([0.5])), "gamma"),
         (lambda: ExperimentConfig(gamma=True), "gamma"),
         (lambda: ExperimentConfig(axis="eps", values=(True, 0.5)), "eps sweep value"),
         (lambda: resolve_point(ExperimentConfig(eps=True)), "epsilon"),
     ],
-    ids=["budget-eps", "params-gamma", "respond-gamma", "config-gamma", "eps-value", "config-eps"],
+    ids=["budget-eps", "params-gamma", "config-gamma", "eps-value", "config-eps"],
 )
 def test_a_bool_is_no_epsilon_or_gamma(build, field):
     # True would run as 1: epsilon 1 in the high regime, or gamma 1, all blanket

@@ -8,29 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflesum import ProtocolParams, randomize_batch, randomizer, respond
+from shufflesum import ProtocolParams, randomize_batch, randomizer, run_trial
 from shufflesum.randomizer import _floyd_sample, _randomize_rows
 
 
+def kernel(x, k, gamma, u):
+    """randomizer._respond on x and uniforms u, in a work buffer of its own;
+    the kernel checks nothing, so x, u, k and gamma must be valid."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    return randomizer._respond(x, k, gamma, u, np.empty((2,) + x.shape))
+
+
 def draw(x, k, gamma, seed):
-    """respond on x with fresh uniforms from the generator seeded `seed`."""
+    """The kernel on x with fresh uniforms from the generator seeded `seed`."""
     x = np.asarray(x, dtype=float)
-    return respond(x, k, gamma, np.random.default_rng(seed).random(x.shape))
+    return kernel(x, k, gamma, np.random.default_rng(seed).random(x.shape))
 
 
 class TestEncodeFixedPoint:
-    """The encoding stage of `respond`, isolated by gamma = 0."""
+    """The encoding stage of `_respond`, isolated by gamma = 0."""
 
     def test_exact_grid_points_are_deterministic(self):
         assert draw([0.5], 2, 0.0, 0).tolist() == [1]
         assert draw([1.0], 3, 0.0, 1).tolist() == [3]
         assert draw([0.0], 7, 0.0, 2).tolist() == [0]
         assert np.all(draw(np.full(50, 0.25), 4, 0.0, 3) == 1)
-
-    def test_rejects_out_of_range(self):
-        for bad in (-0.1, 1.1, np.nan):
-            with pytest.raises(ValueError):
-                draw([0.5, bad], 2, 0.0, 0)
 
     def test_bernoulli_mean(self):
         # x=0.3, k=1: output is Ber(0.3)
@@ -66,7 +68,7 @@ class TestEncodeFixedPoint:
 
 
 class TestRandomizedResponse:
-    """The blanket stage of `respond`, on grid-point inputs whose encoding
+    """The blanket stage of `_respond`, on grid-point inputs whose encoding
     is deterministic (x = v / k encodes to v)."""
 
     def test_gamma_zero_is_identity(self):
@@ -89,34 +91,12 @@ class TestRandomizedResponse:
         assert abs((outs == 1).mean() - p) < 3 * se
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            respond([1.5], 4, 0.1, [0.5])
-        with pytest.raises(ValueError):
-            respond([-0.25], 4, 0.1, [0.5])
-        # ProtocolParams refuses the k and gamma that respond refuses
+        # the kernel checks nothing: ProtocolParams refuses the k and gamma
+        # it must not see, and _randomize_rows each x it gathers
         with pytest.raises(ValueError):
             ProtocolParams(d=1, k=0, n=10, t=1, gamma=0.1)
         with pytest.raises(ValueError):
             ProtocolParams(d=1, k=4, n=10, t=1, gamma=1.5)
-
-    @pytest.mark.parametrize(
-        "uniforms", [[0.5], [[0.5, 0.5]], [0.5, -0.1], [0.5, 1.0], [0.5, np.nan]]
-    )
-    def test_rejects_bad_uniforms(self, uniforms):
-        # one uniform in [0, 1) per entry: u = -0.1 at gamma = 0.3 would give
-        # the value floor(-0.1 * 4 / 0.3) = -2, and NaN the int64 minimum
-        with pytest.raises(ValueError, match="^uniforms"):
-            respond([0.5, 0.5], 3, 0.3, uniforms)
-
-    @pytest.mark.parametrize(
-        "field, k, gamma",
-        [("k", 2.5, 0.3), ("k", True, 0.3), ("k", 0, 0.3), ("gamma", 3, -0.2),
-         ("gamma", 3, 1.5), ("gamma", 3, np.nan)],
-    )
-    def test_rejects_bad_k_and_gamma(self, field, k, gamma):
-        # a negative gamma is no blanket, so the output would have no privacy
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            respond(np.full(4, 0.5), k, gamma, np.full(4, 0.5))
 
     @given(x=st.floats(0.0, 1.0), k=st.integers(1, 9), gamma=st.floats(0.0, 1.0))
     @settings(max_examples=100)
@@ -156,7 +136,7 @@ class CountingRng:
 
 
 class TestOneUniformLaw:
-    """respond reads one u per entry: u < gamma gives floor(u (k+1)/gamma)
+    """_respond reads one u per entry: u < gamma gives floor(u (k+1)/gamma)
     clipped to k, otherwise floor(xk) + [u < gamma + f (1 - gamma)].  The
     sampler splits each of its uniforms u into that u and a coordinate."""
 
@@ -194,14 +174,14 @@ class TestOneUniformLaw:
     def test_just_below_gamma_gives_k_through_the_clip(self, k, gamma):
         u = np.nextafter(gamma, 0.0)
         x = np.array([0.0, 0.5, 1.0])
-        assert np.all(respond(x, k, gamma, np.full(3, u)) == k)
+        assert np.all(kernel(x, k, gamma, np.full(3, u)) == k)
         if (k, gamma) != (3, 0.1705):  # these reach k + 1 before the clip
             assert np.floor(u * ((k + 1) / gamma)) == k + 1
 
     def test_u_equal_to_gamma_takes_the_encoding_branch(self):
         k, gamma = 4, 0.3
         x = np.array([0.0, 0.25, 1.0, 0.3, 0.9])  # f = 0 on the grid, > 0 off it
-        out = respond(x, k, gamma, np.full(5, gamma))
+        out = kernel(x, k, gamma, np.full(5, gamma))
         # u = gamma lies below gamma + f (1 - gamma) exactly when f > 0
         assert out.tolist() == [0, 1, 4, 2, 4]
 
@@ -211,20 +191,20 @@ class TestOneUniformLaw:
         frac = scaled - np.floor(scaled)
         threshold = frac * (1.0 - gamma) + gamma
         us = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)]
-        out = respond(np.full(3, x), k, gamma, us)
+        out = kernel(np.full(3, x), k, gamma, us)
         assert out.tolist() == [np.floor(scaled) + 1, np.floor(scaled), np.floor(scaled)]
 
     def test_gamma_zero_never_reaches_the_blanket_division(self):
         # (k + 1) / gamma would raise ZeroDivisionError at gamma = 0
         x = np.array([0.0, 0.5, 0.5, 1.0])
-        out = respond(x, 2, 0.0, [0.0, 0.0, 0.999, np.nextafter(1.0, 0.0)])
+        out = kernel(x, 2, 0.0, [0.0, 0.0, 0.999, np.nextafter(1.0, 0.0)])
         assert out.tolist() == [0, 1, 1, 2]
 
     def test_gamma_one_always_takes_the_blanket_branch(self):
         k = 3
         us = np.array([0.0, 0.2, 0.26, 0.5, 0.75, np.nextafter(1.0, 0.0)])
         for x in (0.0, 0.4, 1.0):
-            out = respond(np.full(len(us), x), k, 1.0, us)
+            out = kernel(np.full(len(us), x), k, 1.0, us)
             assert out.tolist() == [0, 0, 1, 2, 3, 3]
 
 
@@ -352,7 +332,7 @@ class TestRandomizeBatch:
 
     def test_t1_draw_is_one_uniform_per_user(self):
         # pins the t = 1 random stream: one rng.random(n) call gives both
-        # arrays, coordinates floor(u d) and values respond(x, k, gamma,
+        # arrays, coordinates floor(u d) and values _respond(x, k, gamma,
         # u d - floor(u d)) at the sampled x
         params = self._params(n=1000, d=9, t=1)
         matrix = np.random.default_rng(0).random((params.n, params.d))
@@ -364,14 +344,14 @@ class TestRandomizeBatch:
             assert coords.dtype == values.dtype == np.int64
             assert np.array_equal(coords[:, 0], expected)
             assert np.array_equal(
-                values[:, 0], respond(x, params.k, params.gamma, s - expected)
+                values[:, 0], kernel(x, params.k, params.gamma, s - expected)
             )
 
     def test_message_law_at_t2(self):
         # ~2e5 users at d = 3, t = 2: each message, a coordinate pair and
         # the values there, must be within 5 SE of the per-user law (a
-        # uniform 2-subset, then respond's law per entry, independently),
-        # so the uniform that respond reads is independent of Floyd's
+        # uniform 2-subset, then _respond's law per entry, independently),
+        # so the uniform that _respond reads is independent of Floyd's
         # replacement; the law with x reversed must fail the same check
         x, gamma = np.array([0.2, 0.5, 0.9]), 0.4
         params = self._params(n=200_000, d=3, k=1, t=2, gamma=gamma)
@@ -410,15 +390,17 @@ class TestRandomizeBatch:
         se = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - expected) < 3 * se
 
+    @pytest.mark.parametrize("entry", [randomize_batch, run_trial])
     @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
-    def test_out_of_range_gathered_entry_rejected(self, bad):
+    def test_out_of_range_gathered_entry_rejected(self, bad, entry):
         # before the check, x = 1.5 at k = 4 came out as the value 6 and NaN
-        # as the int64 minimum; now every gathered entry must lie in [0, 1]
+        # as the int64 minimum; now every gathered entry must lie in [0, 1],
+        # through either entry point
         params = self._params(n=50, d=1, k=4, t=1)
         matrix = np.full((params.n, 1), 0.5)
         matrix[7, 0] = bad
-        with pytest.raises(ValueError):
-            randomize_batch(matrix, params, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^inputs must lie in \[0, 1\]"):
+            entry(matrix, params, np.random.default_rng(0))
 
     def test_only_gathered_entries_are_checked(self):
         # an out-of-range entry that no user samples is never read

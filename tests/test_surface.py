@@ -1,8 +1,8 @@
 """The package's public surface stays lean: every function it exports has a
 caller in another module or a stated use in the README, every private
 module-level function is referenced beyond its own def, every field of a
-dataclass is read somewhere, and a private name crosses modules only as
-listed."""
+dataclass is read somewhere, a private name crosses modules only as
+listed, and the unchecked mechanism kernel has only its listed caller."""
 
 import ast
 import re
@@ -19,7 +19,13 @@ PRIVATE_IMPORTS = {
     "harness <- aggregation._debias": "run_trial tallies each block and debiases once",
     "harness <- randomizer._randomize_rows": "the block generator of run_trial",
     "harness <- calibration._check_integer": "the integer rule for settings",
-    "randomizer <- calibration._check_integer": "the integer rule for respond's k",
+}
+
+# The package's functions that read the mechanism kernel `_respond`, each
+# with its reason: the kernel checks nothing, so a second caller would have
+# to bring the checks of the first.
+KERNEL_CALLERS = {
+    "randomizer._randomize_rows": "checks the table and each gathered entry, then responds",
 }
 
 
@@ -103,6 +109,22 @@ def private_imports(sources):
     )
 
 
+def referrers(source, name):
+    """Names of the top-level definitions ("<module>" for other statements,
+    imports included) that read name, as a bare name, an attribute or an
+    imported name, outside name's own def."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", "<module>")
+        if owner != name and any(
+            name in (getattr(node, "id", None), getattr(node, "attr", None))
+            or (isinstance(node, ast.alias) and node.name == name)
+            for node in ast.walk(stmt)
+        ):
+            found.add(owner)
+    return sorted(found)
+
+
 def _package():
     return {path.name: path.read_text() for path in SRC.glob("*.py")}
 
@@ -165,3 +187,26 @@ def test_every_private_function_is_referenced():
     sources = _package()
     private = [name for name in _functions(sources) if name.startswith("_")]
     assert unreferenced(sources, private) == []
+
+
+def test_finds_kernel_referrers():
+    source = (
+        "from .r import _respond as kernel\n"
+        "def _respond(x):\n    return _respond(x)\n"
+        "def rows(t):\n    yield _respond(t)\n"
+        "def via(m):\n    return m._respond\n"
+        "class C:\n    def m(self):\n        return _respond\n"
+        "def other(respond):\n    return respond('_respond')\n"
+    )
+    assert referrers(source, "_respond") == ["<module>", "C", "rows", "via"]
+
+
+def test_kernel_is_read_only_by_its_listed_caller():
+    # _respond checks neither its inputs nor k and gamma; _randomize_rows
+    # checks what it gathers, and ProtocolParams the rest
+    found = {
+        f"{Path(module).stem}.{name}"
+        for module, text in _package().items()
+        for name in referrers(text, "_respond")
+    }
+    assert found == set(KERNEL_CALLERS)
