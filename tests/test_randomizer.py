@@ -34,6 +34,16 @@ class TestEncodeFixedPoint:
         assert draw([0.0], 7, 0.0, 2).tolist() == [0]
         assert np.all(draw(np.full(50, 0.25), 4, 0.0, 3) == 1)
 
+    def test_rejects_out_of_range(self):
+        # the kernel checks nothing, so the encoding never sees such an x:
+        # at t = d every entry is gathered, and the gather refuses it
+        params = ProtocolParams(d=2, k=2, n=10, t=2, gamma=0.0)
+        for bad in (-0.1, 1.1, np.nan):
+            matrix = np.full((params.n, params.d), 0.5)
+            matrix[3, 1] = bad
+            with pytest.raises(ValueError, match=r"^inputs must lie in \[0, 1\]"):
+                randomize_batch(matrix, params, np.random.default_rng(0))
+
     def test_bernoulli_mean(self):
         # x=0.3, k=1: output is Ber(0.3)
         draws = 200_000
@@ -97,6 +107,18 @@ class TestRandomizedResponse:
             ProtocolParams(d=1, k=0, n=10, t=1, gamma=0.1)
         with pytest.raises(ValueError):
             ProtocolParams(d=1, k=4, n=10, t=1, gamma=1.5)
+
+    @pytest.mark.parametrize(
+        "field, k, gamma",
+        [("k", 2.5, 0.3), ("k", True, 0.3), ("k", 0, 0.3), ("gamma", 3, -0.2),
+         ("gamma", 3, 1.5), ("gamma", 3, np.nan)],
+    )
+    def test_rejects_bad_k_and_gamma(self, field, k, gamma):
+        # the kernel takes k and gamma unchecked from ProtocolParams, so the
+        # params must refuse each one; a negative gamma is no blanket, and
+        # the output would have no privacy
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ProtocolParams(d=4, k=k, n=10, t=1, gamma=gamma)
 
     @given(x=st.floats(0.0, 1.0), k=st.integers(1, 9), gamma=st.floats(0.0, 1.0))
     @settings(max_examples=100)
