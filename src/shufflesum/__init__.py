@@ -3,7 +3,6 @@ shuffle model: local randomizer, trusted-shuffler simulation, analyzer,
 parameter calibration with its accuracy bounds, privacy auditing, and an
 experiment harness that scores trials and fits power laws."""
 
-from .aggregation import MalformedMessageError, analyze_arrays, shuffle
 from .audit import AuditVerdict, exact_audit
 from .calibration import (
     InfeasibleParametersError,
@@ -31,6 +30,6 @@ from .harness import (
     run_trial,
     trial_seed,
 )
-from .randomizer import randomize_batch
+from .protocol import MalformedMessageError, analyze_arrays, randomize_batch, shuffle
 
 __version__ = "0.1.0"

@@ -115,12 +115,13 @@ def _build_config(args) -> ExperimentConfig:
 
 def _cmd_params(config):
     params, budget, mode = resolve_point(config)
-    eps_prime, delta_prime = compose_epsilon_prime(budget, params.t)
     print(f"calibration mode: {mode}")
     print(f"d={params.d} k={params.k} n={params.n} t={params.t}")
     print(f"epsilon={budget.epsilon} delta={budget.delta}")
     print(f"gamma={params.gamma!r}")
-    print(f"per-coordinate epsilon'={eps_prime!r} delta'={delta_prime!r}")
+    if mode == "general":  # only there is gamma calibrated at a per-coordinate budget
+        eps_prime, delta_prime = compose_epsilon_prime(budget, params.t)
+        print(f"per-coordinate epsilon'={eps_prime!r} delta'={delta_prime!r}")
     return EXIT_OK
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily; every run seeds its trials with it
 
-from .aggregation import _debias, _tally
 from .calibration import (
     InfeasibleParametersError,
     PrivacyBudget,
@@ -41,7 +40,7 @@ from .calibration import (
     choose_k_general,
     choose_k_t1,
 )
-from .randomizer import _randomize_rows
+from .protocol import _simulate_round
 
 SWEEP_AXES = ("t", "k", "d", "n", "eps")
 FITTED_AXES = ("d", "n", "eps")
@@ -294,26 +293,11 @@ def empirical_mse(estimates, truth, params: ProtocolParams) -> TrialResult:
 
 
 def run_trial(table, params: ProtocolParams, rng: np.random.Generator) -> TrialResult:
-    """One full protocol round: randomize every user, analyze, and score
-    against the sampled-coordinate true sums.
-
-    `table` is (rows, d) with 1 <= rows <= n, and user i holds row
-    i % rows, so an (n, d) matrix gives each user its own row.  Blocks of
-    users (`randomizer._randomize_rows`, which checks the table and builds
-    valid blocks, so `_tally` counts them unchecked) add up their true sums
-    and exact integer totals and counts: memory is O(block + rows + d).
-
-    The shuffler's permutation is skipped, since it cannot change the
-    result: the analyzer sums integer values in float64, which is exact
-    while every sum stays below 2^53 (n k < 2^53 suffices), so its output
-    is bitwise the same for every row order.
-    """
-    truth = totals = counts = 0
-    for coords, sampled, values in _randomize_rows(table, params, rng):
-        truth += np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
-        block_totals, block_counts = _tally(coords, values, params.d)
-        totals, counts = totals + block_totals, counts + block_counts
-    return empirical_mse(_debias(totals, counts, params), truth, params)
+    """One full protocol round (`protocol._simulate_round`), scored against
+    the sampled-coordinate true sums.  `table` is (rows, d) with
+    1 <= rows <= n, and user i holds row i % rows, so an (n, d) matrix
+    gives each user its own row."""
+    return empirical_mse(*_simulate_round(table, params, rng), params)
 
 
 def resolve_point(config: ExperimentConfig, value=None):

@@ -1,21 +1,27 @@
-"""Per-user local randomizer: coordinate sampling, then one array kernel
-(`_respond`) for fixed-point encoding and randomized response, reached only
-through `_randomize_rows`, behind `randomize_batch` (the public entry) and
-`run_trial`.
+"""The single-message protocol over one wire format: the local randomizer,
+the trusted shuffler and the untrusted analyzer.
 
 The wire format is a pair of int64 (m, t) arrays: per user, t distinct
 coordinate indices and the randomized values in {0, ..., k}.  Coordinate
-indices are 0-based throughout the implementation (the protocol
-descriptions elsewhere use 1-based labels; only the offset differs).
+indices are 0-based (the protocol descriptions elsewhere use 1-based
+labels; only the offset differs).  The randomizer's one public entry is
+`randomize_batch`; behind it, `_randomize_rows` samples (`_floyd_sample`)
+and calls the unchecked kernel `_respond`.  The shuffler only unbinds users
+from their submissions.  The analyzer `analyze_arrays` is the one validator
+of outside batches; `_tally` counts and `_debias` removes the blanket.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .calibration import ProtocolParams
+from .calibration import InfeasibleParametersError, ProtocolParams
 
 BLOCK_ENTRIES = 2**15  # entries (users x t) per block of `_randomize_rows`
+
+
+class MalformedMessageError(ValueError):
+    """A submitted message violates the protocol's wire format."""
 
 
 def _respond(sampled, k: int, gamma: float, u, work) -> np.ndarray:
@@ -70,9 +76,9 @@ def randomize_batch(matrix, params: ProtocolParams, rng: np.random.Generator):
     Returns (coords, values), both int64 (n, t): per user, a uniform
     t-subset of coordinates (in no meaningful order) and the randomized
     values there; only those entries are range-checked (`_randomize_rows`).
-    These are `run_trial`'s (t, m) blocks, transposed and joined, so both
-    make the same draws, one uniform per entry: at t = 1 a block of m users
-    is u = rng.random(m), coordinates floor(u d) and values
+    These are `_simulate_round`'s (t, m) blocks, transposed and joined, so
+    both make the same draws, one uniform per entry: at t = 1 a block of m
+    users is u = rng.random(m), coordinates floor(u d) and values
     _respond(x, k, gamma, u d - floor(u d)).
     """
     if np.shape(matrix) != (params.n, params.d):
@@ -119,3 +125,89 @@ def _randomize_rows(table, params: ProtocolParams, rng: np.random.Generator):
         if not (sampled.min() >= 0.0 and sampled.max() <= 1.0):
             raise ValueError("inputs must lie in [0, 1] (NaN is rejected)")
         yield coords, sampled, _respond(sampled, params.k, params.gamma, uniforms, block[3:])
+
+
+def shuffle(coords, values, rng: np.random.Generator):
+    """The trusted shuffler: one uniform permutation, rng.permutation(m),
+    applied to the rows of both (m, t) arrays."""
+    coords = np.asarray(coords)
+    values = np.asarray(values)
+    if coords.ndim == 0 or values.ndim == 0 or len(coords) == 0:
+        raise ValueError("cannot shuffle a 0-d or empty batch")
+    if len(values) != len(coords):
+        raise ValueError(f"{len(coords)} coordinate rows but {len(values)} value rows")
+    perm = rng.permutation(len(coords))
+    return coords[perm], values[perm]
+
+
+def _tally(coords, values, d: int):
+    """Count a batch per coordinate: coords and values of one shape, in any
+    layout, that `analyze_arrays` checked or `_randomize_rows` built valid.
+    Returns the per-coordinate totals of the values (integers, so exactly
+    invariant under any reordering of the entries) and counts; a
+    coordinate never received reports 0 and 0."""
+    cols = coords.ravel()
+    return np.bincount(cols, weights=values.ravel(), minlength=d), np.bincount(cols, minlength=d)
+
+
+def _debias(totals, counts, params: ProtocolParams) -> np.ndarray:
+    """Rescale `_tally`'s totals by 1/k, then remove the expected blanket
+    contribution and the 1 - gamma attenuation per coordinate:
+
+        (sum - (gamma/2) count) / (1 - gamma)
+
+    The uniform blanket over {0,...,k} has mean k/2, so after the 1/k
+    rescaling each blanket submission contributes exactly 1/2 in
+    expectation.  gamma = 1 leaves no signal: InfeasibleParametersError.
+    """
+    gamma = params.gamma
+    if not (0.0 <= gamma < 1.0):
+        raise InfeasibleParametersError(f"debias requires gamma in [0, 1), got {gamma}")
+    return (totals / params.k - (gamma / 2.0) * counts) / (1.0 - gamma)
+
+
+def analyze_arrays(coords, values, params: ProtocolParams) -> np.ndarray:
+    """The analyzer, and the one validator of outside batches: both arrays
+    must be integer (not bool) of shape (m, t), with values in {0, ..., k}
+    and distinct coordinates in {0, ..., d-1} per row, or
+    MalformedMessageError is raised.  Then `_tally`, then `_debias`.
+    Returns the float64 (d,) per-coordinate sum estimates."""
+    coords = np.asarray(coords)
+    values = np.asarray(values)
+    if coords.shape != values.shape or coords.ndim != 2 or coords.shape[1] != params.t:
+        raise MalformedMessageError(
+            f"coords {coords.shape} and values {values.shape} must both be (m, t={params.t})"
+        )
+    if not (np.issubdtype(coords.dtype, np.integer) and np.issubdtype(values.dtype, np.integer)):
+        raise MalformedMessageError(
+            f"coords and values must be integers, got {coords.dtype} and {values.dtype}"
+        )
+    if coords.size and (values.min() < 0 or values.max() > params.k):
+        raise MalformedMessageError(f"values outside [0, {params.k}]")
+    if coords.size and (coords.min() < 0 or coords.max() >= params.d):
+        raise MalformedMessageError(f"coordinates outside [0, {params.d - 1}]")
+    cols = np.ascontiguousarray(coords.T)  # (t, m): contiguous rows to compare
+    if any(np.any(cols[:i] == cols[i]) for i in range(1, params.t)):
+        raise MalformedMessageError("message coordinates must be distinct")
+    return _debias(*_tally(coords, values, params.d), params)
+
+
+def _simulate_round(table, params: ProtocolParams, rng: np.random.Generator):
+    """One round of the protocol for params.n users on table, user i holding
+    row i % rows (`_randomize_rows`).  Returns (estimates, truth), both
+    float64 (d,): the analyzer's debiased sums and the sampled-coordinate
+    true sums.
+
+    Blocks are valid by construction, so `_tally` counts them unchecked;
+    their exact integer totals and counts add up and are debiased once, so
+    memory is O(block + rows + d).  The shuffler's permutation is skipped,
+    since it cannot change the result: the analyzer sums integer values in
+    float64, which is exact while every sum stays below 2^53 (n k < 2^53
+    suffices), so its output is bitwise the same for every row order.
+    """
+    truth = totals = counts = 0
+    for coords, sampled, values in _randomize_rows(table, params, rng):
+        truth += np.bincount(coords.ravel(), weights=sampled.ravel(), minlength=params.d)
+        block_totals, block_counts = _tally(coords, values, params.d)
+        totals, counts = totals + block_totals, counts + block_counts
+    return _debias(totals, counts, params), truth

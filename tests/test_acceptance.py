@@ -29,7 +29,7 @@ from shufflesum import (
     randomize_batch,
     run_sweep,
 )
-from shufflesum.aggregation import analyze_arrays
+from shufflesum.protocol import analyze_arrays
 
 MASTER_SEED = 0
 

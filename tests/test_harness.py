@@ -42,7 +42,7 @@ from shufflesum import (
     shuffle,
     trial_seed,
 )
-from shufflesum import aggregation, cli, harness, randomizer
+from shufflesum import cli, harness, protocol
 from shufflesum.cli import main
 from shufflesum.harness import LONG_HEADER
 
@@ -436,14 +436,14 @@ class TestRunTrial:
         # estimates equal the analyzer's on the whole shuffled batch bit for
         # bit; its true sums are added in another order, so the MSE matches
         # to rounding
-        monkeypatch.setattr(randomizer, "BLOCK_ENTRIES", 18)
-        debiased = []
+        monkeypatch.setattr(protocol, "BLOCK_ENTRIES", 18)
+        debiased, debias = [], protocol._debias
 
         def spy(totals, counts, params):
-            debiased.append((counts, aggregation._debias(totals, counts, params)))
+            debiased.append((counts, debias(totals, counts, params)))
             return debiased[-1][1]
 
-        monkeypatch.setattr(harness, "_debias", spy)
+        monkeypatch.setattr(protocol, "_debias", spy)
         raw = np.random.default_rng(4).random((7, 6))
         params = ProtocolParams(d=6, k=2, n=50, t=t, gamma=0.3)
         dense = np.resize(raw, (params.n, params.d))
@@ -519,12 +519,12 @@ class TestRunTrial:
 
 # Traced by perfbench/spans.py but no longer bound there; their per-layer
 # metrics read 0 until the spans are updated.  The first three went with
-# the sampled audit, which the exact audit replaced; the harness no longer
-# calls randomize_batch, since run_trial samples through the randomizer's
-# shared sample-gather-respond routine; nor analyze_arrays, since run_trial
-# tallies each block of users and debiases the totals once, so the
-# aggregation.analyze_arrays metrics read 0 until a span wraps that
-# per-block call.
+# the sampled audit, which the exact audit replaced.  The harness binds
+# neither randomize_batch nor analyze_arrays, since run_trial runs the whole
+# round through protocol._simulate_round, which samples, counts each block
+# of users and debiases the totals once; so the metrics still named
+# randomizer.randomize_batch and aggregation.analyze_arrays read 0 until a
+# span wraps that round.
 RETIRED_BINDINGS = {
     "shufflesum.cli.monte_carlo_audit",
     "shufflesum.audit.monte_carlo_audit",
@@ -851,11 +851,21 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "t1" in out and "gamma=" in out
+        # gamma comes from the t = 1 rule at the whole budget, which no fold splits
+        assert "epsilon'" not in out
+
+    def test_params_prints_the_per_coordinate_budget_of_general_mode(self, capsys):
+        argv = ["params", "--t", "2", "--d", "10", "--k", "1", "--n", "1000000"]
+        assert main([*argv, "--eps", "0.5", "--delta", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "calibration mode: general\n" in out
+        assert "per-coordinate epsilon'=0.0823762786227826 delta'=0.05\n" in out
 
     def test_params_with_gamma_uses_it(self, capsys):
         assert main(["params", "--gamma", "0.3"]) == 0
         out = capsys.readouterr().out
         assert "calibration mode: manual\n" in out and "gamma=0.3\n" in out
+        assert "epsilon'" not in out  # a set gamma reads no budget
 
     @pytest.mark.parametrize("mode", ["t1", "manual"])
     @pytest.mark.parametrize("form", ["flag", "file"])

@@ -1,5 +1,5 @@
 """The README's Python quick example and CLI examples run as written, and
-the modules it names exist."""
+it names each module that exists, and only those, in one overview bullet."""
 
 import importlib.util
 import re
@@ -31,6 +31,14 @@ def test_named_modules_exist():
     names = re.findall(r"`shufflesum\.(\w+)`", README.read_text())
     missing = [name for name in names if importlib.util.find_spec(f"shufflesum.{name}") is None]
     assert names and missing == []
+
+
+def test_each_module_is_named_once():
+    # one overview bullet per module; cli has its own section
+    names = re.findall(r"`shufflesum\.(\w+)`", README.read_text())
+    package = Path(importlib.util.find_spec("shufflesum").origin).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "cli"}
+    assert {module: names.count(module) for module in modules} == dict.fromkeys(modules, 1)
 
 
 def cli_examples():

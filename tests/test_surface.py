@@ -2,7 +2,8 @@
 caller in another module or a stated use in the README, every private
 module-level function is referenced beyond its own def, every field of a
 dataclass is read somewhere, a private name crosses modules only as
-listed, and the unchecked mechanism kernel has only its listed caller."""
+listed, modules import their siblings' names and never the modules
+themselves, and the unchecked mechanism kernel has only its listed caller."""
 
 import ast
 import re
@@ -15,9 +16,7 @@ README = SRC.parents[1] / "README.md"
 # Each underscore name that one module of the package imports from another,
 # with the reason it is shared rather than kept behind its module.
 PRIVATE_IMPORTS = {
-    "harness <- aggregation._tally": "run_trial counts the blocks it built, unchecked",
-    "harness <- aggregation._debias": "run_trial tallies each block and debiases once",
-    "harness <- randomizer._randomize_rows": "the block generator of run_trial",
+    "harness <- protocol._simulate_round": "run_trial scores the round it simulates",
     "harness <- calibration._check_integer": "the integer rule for settings",
 }
 
@@ -25,7 +24,7 @@ PRIVATE_IMPORTS = {
 # with its reason: the kernel checks nothing, so a second caller would have
 # to bring the checks of the first.
 KERNEL_CALLERS = {
-    "randomizer._randomize_rows": "checks the table and each gathered entry, then responds",
+    "protocol._randomize_rows": "checks the table and each gathered entry, then responds",
 }
 
 
@@ -109,6 +108,29 @@ def private_imports(sources):
     )
 
 
+def module_imports(sources):
+    """"importer: statement" for each import by which a module of sources
+    other than __init__ binds a sibling module or the package itself
+    (`from . import x`, `import shufflesum.x`), or reads it by its absolute
+    name (`from shufflesum.x import y`): `private_imports` sees only
+    `from .module import name`, so `x._name` would cross unlisted."""
+    found = []
+    for importer, text in sources.items():
+        if importer == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                bad = any(alias.name.split(".")[0] == SRC.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                # `from .module import name` is the one allowed form
+                bad = not node.module if node.level else node.module.split(".")[0] == SRC.name
+            else:
+                continue
+            if bad:
+                found.append(f"{Path(importer).stem}: {ast.unparse(node)}")
+    return found
+
+
 def referrers(source, name):
     """Names of the top-level definitions ("<module>" for other statements,
     imports included) that read name, as a bare name, an attribute or an
@@ -169,6 +191,29 @@ def test_finds_private_imports():
         "b.py": "from __future__ import annotations\nfrom .a import _first as first\n",
     }
     assert private_imports(sources) == ["a <- b._hidden", "b <- a._first"]
+
+
+def test_finds_module_imports():
+    sources = {
+        "__init__.py": "from . import a\nimport shufflesum.b\n",
+        "a.py": (
+            "from . import b\nfrom .b import _hidden, shown\nimport shufflesum.b as sb\n"
+            "import numpy.random, shufflesum\nfrom shufflesum.b import shown\n"
+            "from numpy import random\n"
+        ),
+        "b.py": "from __future__ import annotations\nfrom .a import first\n",
+    }
+    assert module_imports(sources) == [
+        "a: from . import b",
+        "a: import shufflesum.b as sb",
+        "a: import numpy.random, shufflesum",
+        "a: from shufflesum.b import shown",
+    ]
+
+
+def test_modules_import_no_sibling_module():
+    # with names only, the private-name table above sees every crossing
+    assert module_imports(_package()) == []
 
 
 def test_private_names_cross_modules_only_as_listed():
