@@ -8,10 +8,8 @@ from .calibration import (
     InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
-    bound_mse_general,
-    bound_mse_t1,
-    calibrate_gamma_general,
-    calibrate_gamma_t1,
+    bound_mse,
+    calibrate_gamma,
     choose_k_general,
     choose_k_t1,
     compose_epsilon_prime,

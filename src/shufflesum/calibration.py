@@ -96,31 +96,25 @@ def _check_dims(d: int, n: int, t: int, k: int = 1):
 class InfeasibleParametersError(ValueError):
     """A blanket probability gamma of at least 1, which would make the output
     pure noise: one that a calibrator requires or one that is set (in
-    `resolve_point`, the bound evaluators or the analyzer).  Never clamped."""
-
-
-def _feasible_gamma(gamma: float, context: str) -> float:
-    # Never clamp: gamma = 1 would make the output pure noise.
-    if gamma >= 1.0:
-        raise InfeasibleParametersError(
-            f"{context}: required blanket probability {gamma:.6g} is not below 1; "
-            "increase n or relax the budget"
-        )
-    return gamma
+    `resolve_point`, `bound_mse` or the analyzer).  Never clamped."""
 
 
 def _branches(budget: PrivacyBudget, t: int, analysis: str):
     """The paper's constants, one (c, factors, den) per branch of the "t1" or
-    "general" analysis: gamma = max c d k prod(factors) / ((n-1) den)."""
+    "general" analysis: gamma = max c d k prod(factors) / ((n-1) den).
+    Raises ValueError for another analysis, or for "t1" at t != 1."""
     eps, delta = budget.epsilon, budget.delta
     if analysis == "general":
         logs = (math.log(1.0 / delta), math.log(2.0 * t / delta))
         return [(2016.0 if budget.high_regime else 56.0, logs, eps**2)]
+    if analysis != "t1":
+        raise ValueError(f"analysis must be 't1' or 'general', got {analysis!r}")
+    if t != 1:
+        raise ValueError(f"t=1 analysis requested with t={t}")
     log2d = math.log(2.0 / delta)
     if budget.high_regime:
-        # The linear branch never decides a result: it would need
-        # eps > (80 * 11/36) ln(2/delta) > 16.9, while eps < 6.
-        return [(80.0, (log2d,), eps**2), (36.0 / 11.0, (), eps)]
+        # the paper's (36/11, (), eps) branch decides only at eps > 80 (11/36) ln 2 > 16.9
+        return [(80.0, (log2d,), eps**2)]
     return [(14.0, (log2d,), eps**2), (27.0, (), eps)]
 
 
@@ -133,33 +127,26 @@ def _gamma(budget: PrivacyBudget, d: int, k: int, n: int, t: int, analysis: str)
     )
 
 
-def calibrate_gamma_general(
-    budget: PrivacyBudget, d: int, k: int, n: int, t: int
-) -> float:
-    """Blanket probability for the general-t mechanism.
+def calibrate_gamma(budget: PrivacyBudget, d: int, k: int, n: int, t: int, analysis: str) -> float:
+    """Blanket probability under the "t1" analysis (t = 1) or the "general"
+    one (advanced composition over t).  A formula of at least 1 raises
+    InfeasibleParametersError, never clamped: gamma = 1 is pure noise.
 
-    gamma = C d k ln(1/delta) ln(2t/delta) / ((n-1) eps^2), with C = 56 in
-    the low regime and C = 2016 in the high regime.  Raises
-    InfeasibleParametersError when the formula is at least 1.
-
-    In both regimes this is half the t = 1 low-regime 14-rule applied per
-    coordinate, 7 (d/t) k ln(2/delta') / ((n-1) eps'^2), at the per-fold
-    budget (eps', delta') that compose_epsilon_prime(budget, t) returns.
-    It is not computed that way, since gamma would then move by a few ulps,
-    and the frozen gamma tests assert exact equality.
+    t1, eps < 1:  gamma = max{ 14 d k ln(2/delta) / ((n-1) eps^2), 27 d k / ((n-1) eps) }
+    t1, eps >= 1: gamma = max{ 80 d k ln(2/delta) / ((n-1) eps^2), 36 d k / (11 (n-1) eps) }
+    general: gamma = C d k ln(1/delta) ln(2t/delta) / ((n-1) eps^2), C = 56 or 2016,
+    which is half the t1 14-rule per coordinate, 7 (d/t) k ln(2/delta') /
+    ((n-1) eps'^2), at compose_epsilon_prime(budget, t); not computed so, as
+    gamma would move by ulps and the frozen gamma tests assert equality.
     """
-    return _feasible_gamma(_gamma(budget, d, k, n, t, "general"), "general-t calibration")
-
-
-def calibrate_gamma_t1(budget: PrivacyBudget, d: int, k: int, n: int) -> float:
-    """Tightened blanket probability for t = 1 (no composition needed).
-
-    Low regime:  gamma = max{ 14 d k ln(2/delta) / ((n-1) eps^2),
-                              27 d k / ((n-1) eps) }
-    High regime: gamma = max{ 80 d k ln(2/delta) / ((n-1) eps^2),
-                              36 d k / (11 (n-1) eps) }
-    """
-    return _feasible_gamma(_gamma(budget, d, k, n, 1, "t1"), "t=1 calibration")
+    gamma = _gamma(budget, d, k, n, t, analysis)
+    if gamma >= 1.0:
+        context = "t=1 calibration" if analysis == "t1" else "general-t calibration"
+        raise InfeasibleParametersError(
+            f"{context}: required blanket probability {gamma:.6g} is not below 1; "
+            "increase n or relax the budget"
+        )
+    return gamma
 
 
 def choose_k_general(budget: PrivacyBudget, d: int, n: int, t: int) -> int:
@@ -195,29 +182,16 @@ def choose_k_t1(budget: PrivacyBudget, d: int, n: int) -> int:
     return max(1, int(math.floor(value + 0.5)))  # round half up, k >= 1
 
 
-def _bound(params: ProtocolParams, budget: PrivacyBudget, analysis: str) -> float:
+def bound_mse(params: ProtocolParams, budget: PrivacyBudget, analysis: str) -> float:
+    """The paper's normalized-MSE bound under the "t1" or "general" analysis,
+    at the continuous k* (k enters only through gamma; not an upper bound
+    at the point's own k).  General at eps < 1:
+    2 t d^(8/3) (14 ln(1/delta) ln(2t/delta))^(2/3) / ((1-gamma)^2 n^(5/3) eps^(4/3)),
+    at eps >= 1 the same shape with 8 t (63 ...)^(2/3); t1 takes the max of
+    its branches, as gamma does."""
     if params.gamma >= 1.0:
         raise InfeasibleParametersError("bounds undefined for gamma >= 1")
     d, n, t = params.d, params.n, params.t
     worst = max(math.prod(f, start=c) / den for c, f, den in _branches(budget, t, analysis))
     shape = t * d ** (8.0 / 3.0) / ((1.0 - params.gamma) ** 2 * n ** (5.0 / 3.0))
     return shape * worst ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
-
-
-def bound_mse_general(params: ProtocolParams, budget: PrivacyBudget) -> float:
-    """The paper's normalized-MSE bound for general t, at the continuous k*
-    (k enters only through gamma; not an upper bound at the point's own k).
-
-    Low regime:  2 t d^(8/3) (14 ln(1/delta) ln(2t/delta))^(2/3)
-                 / ((1-gamma)^2 n^(5/3) eps^(4/3))
-    High regime: same shape with 8 t (63 ...)^(2/3).
-    """
-    return _bound(params, budget, "general")
-
-
-def bound_mse_t1(params: ProtocolParams, budget: PrivacyBudget) -> float:
-    """The paper's tightened t = 1 bound (max of two branches), at k* like
-    `bound_mse_general`: not an upper bound at the point's own k."""
-    if params.t != 1:
-        raise ValueError(f"t=1 bound requested with t={params.t}")
-    return _bound(params, budget, "t1")

@@ -33,10 +33,8 @@ from .calibration import (
     PrivacyBudget,
     ProtocolParams,
     _check_integer,
-    bound_mse_general,
-    bound_mse_t1,
-    calibrate_gamma_general,
-    calibrate_gamma_t1,
+    bound_mse,
+    calibrate_gamma,
     choose_k_general,
     choose_k_t1,
 )
@@ -313,16 +311,14 @@ def resolve_point(config: ExperimentConfig, value=None):
         mode = "manual"
         if gamma >= 1.0:  # a calibrated gamma >= 1 raises in the calibrator
             raise InfeasibleParametersError(f"gamma = {gamma:.6g} leaves no truthful signal")
-    elif pc.calibration == "auto" and pc.t == 1:
-        mode = "t1"
-        if config.axis in FITTED_AXES:
-            k = choose_k_t1(budget, pc.d, pc.n)
-        gamma = calibrate_gamma_t1(budget, pc.d, k, pc.n)
     else:
-        mode = "general"
+        mode = "t1" if pc.calibration == "auto" and pc.t == 1 else "general"
         if config.axis in FITTED_AXES:
-            k = choose_k_general(budget, pc.d, pc.n, pc.t)
-        gamma = calibrate_gamma_general(budget, pc.d, k, pc.n, pc.t)
+            if mode == "t1":
+                k = choose_k_t1(budget, pc.d, pc.n)
+            else:
+                k = choose_k_general(budget, pc.d, pc.n, pc.t)
+        gamma = calibrate_gamma(budget, pc.d, k, pc.n, pc.t, mode)
     params = ProtocolParams(d=pc.d, k=k, n=pc.n, t=pc.t, gamma=gamma)
     return params, budget, mode
 
@@ -387,7 +383,7 @@ def run_sweep(config: ExperimentConfig, matrix) -> SweepResult:
         params, budget, mode = point
         # the bound of the analysis gamma came from: the tightened t = 1 one
         # only under the t1 calibration, the general one otherwise (manual too)
-        bound = (bound_mse_t1 if mode == "t1" else bound_mse_general)(params, budget)
+        bound = bound_mse(params, budget, "t1" if mode == "t1" else "general")
         table = fit_matrix(matrix, params.n, params.d)
         mses = []
         for ti in range(config.trials):

@@ -15,10 +15,8 @@ from shufflesum import (
     ExperimentConfig,
     PrivacyBudget,
     ProtocolParams,
-    bound_mse_general,
-    bound_mse_t1,
-    calibrate_gamma_general,
-    calibrate_gamma_t1,
+    bound_mse,
+    calibrate_gamma,
     choose_k_general,
     choose_k_t1,
     compose_epsilon_prime,
@@ -180,10 +178,10 @@ def test_criterion_08_bound_dominance(request, dataset):
         try:
             if t == 1:
                 k = choose_k_t1(b, d, n)
-                gamma = calibrate_gamma_t1(b, d, k, n)
+                gamma = calibrate_gamma(b, d, k, n, 1, "t1")
             else:
                 k = choose_k_general(b, d, n, t)
-                gamma = calibrate_gamma_general(b, d, k, n, t)
+                gamma = calibrate_gamma(b, d, k, n, t, "general")
         except Exception:
             continue
         if gamma >= 1.0:
@@ -192,7 +190,7 @@ def test_criterion_08_bound_dominance(request, dataset):
     worst_ratio = 0.0
     all_below = True
     for pi, (params, b) in enumerate(points):
-        bound = bound_mse_t1(params, b) if params.t == 1 else bound_mse_general(params, b)
+        bound = bound_mse(params, b, "t1" if params.t == 1 else "general")
         data = np.resize(fit_matrix(dataset, params.n, params.d), (params.n, params.d))
         mses = []
         for ti in range(5):
@@ -226,7 +224,7 @@ def test_criterion_09_tail_endpoint(request):
     worst_margin = 0.0
     for eps, delta, d, k, n, t in points:
         b = PrivacyBudget(eps, delta)
-        gamma = calibrate_gamma_general(b, d, k, n, t)
+        gamma = calibrate_gamma(b, d, k, n, t, "general")
         eps_prime, _ = compose_epsilon_prime(b, t)
         s = (n - 1) * t // d
         tail = blanket_tail(s, gamma, k, gamma * s / k, eps_prime)
@@ -249,7 +247,7 @@ def test_criterion_10_exact_audit(request):
     def audit(gamma, budget=b):
         return exact_audit(ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma), budget)
 
-    verdict = audit(calibrate_gamma_general(b, d, k, n, 1))
+    verdict = audit(calibrate_gamma(b, d, k, n, 1, "general"))
     control = audit(1.0, PrivacyBudget(0.99, 0.01))
     under = audit(0.01)
     blind = audit(0.0)

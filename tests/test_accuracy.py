@@ -11,10 +11,8 @@ from shufflesum import (
     PrivacyBudget,
     ProtocolParams,
     analyze_arrays,
-    bound_mse_general,
-    bound_mse_t1,
-    calibrate_gamma_general,
-    calibrate_gamma_t1,
+    bound_mse,
+    calibrate_gamma,
     choose_k_general,
     empirical_mse,
     fit_power_law,
@@ -94,20 +92,20 @@ def _params(d=100, k=3, n=50000, t=1, gamma=0.2):
     return ProtocolParams(d=d, k=k, n=n, t=t, gamma=gamma)
 
 
-@pytest.mark.parametrize("bound", [bound_mse_general, bound_mse_t1])
-def test_bounds_reject_gamma_one(bound):
+@pytest.mark.parametrize("analysis", ["general", "t1"])
+def test_bounds_reject_gamma_one(analysis):
     with pytest.raises(InfeasibleParametersError, match="bounds undefined for gamma >= 1"):
-        bound(_params(gamma=1.0), PrivacyBudget(0.95, 0.5))
+        bound_mse(_params(gamma=1.0), PrivacyBudget(0.95, 0.5), analysis)
 
 
 class TestBoundMseGeneral:
     def test_homogeneity_in_d_and_n(self):
         b = PrivacyBudget(0.95, 0.5)
-        base = bound_mse_general(_params(), b)
-        assert bound_mse_general(_params(d=200), b) == pytest.approx(
+        base = bound_mse(_params(), b, "general")
+        assert bound_mse(_params(d=200), b, "general") == pytest.approx(
             base * 2 ** (8 / 3), rel=1e-12
         )
-        assert bound_mse_general(_params(n=100000), b) == pytest.approx(
+        assert bound_mse(_params(n=100000), b, "general") == pytest.approx(
             base * 2 ** (-5 / 3), rel=1e-12
         )
 
@@ -123,7 +121,7 @@ class TestBoundMseGeneral:
                 * mpmath.mpf("0.95") ** mpmath.mpf("4/3")
             )
         )
-        got = bound_mse_general(p, b)
+        got = bound_mse(p, b, "general")
         assert got == pytest.approx(float(oracle), rel=1e-10)
 
     def test_dual_transcription_high_regime(self):
@@ -139,32 +137,28 @@ class TestBoundMseGeneral:
                 * mpmath.mpf(2) ** mpmath.mpf("4/3")
             )
         )
-        got = bound_mse_general(p, b)
+        got = bound_mse(p, b, "general")
         assert got == pytest.approx(float(oracle), rel=1e-10)
 
     def test_linear_in_t_low_regime_shape(self):
         b = PrivacyBudget(0.5, 0.1)
-        one = bound_mse_general(_params(t=1), b)
-        three = bound_mse_general(_params(t=3), b)
+        one = bound_mse(_params(t=1), b, "general")
+        three = bound_mse(_params(t=3), b, "general")
         ratio = 3 * (math.log(6 / 0.1) / math.log(2 / 0.1)) ** (2 / 3)
         assert three / one == pytest.approx(ratio, rel=1e-12)
 
 
 class TestBoundMseT1:
-    def test_rejects_t_not_one(self):
-        with pytest.raises(ValueError):
-            bound_mse_t1(_params(t=2), PrivacyBudget(0.5, 0.1))
-
     def test_homogeneity_in_d(self):
         b = PrivacyBudget(0.95, 0.5)
-        base = bound_mse_t1(_params(), b)
-        assert bound_mse_t1(_params(d=200), b) == pytest.approx(
+        base = bound_mse(_params(), b, "t1")
+        assert bound_mse(_params(d=200), b, "t1") == pytest.approx(
             base * 2 ** (8 / 3), rel=1e-12
         )
 
     def test_reference_point_value(self):
         p, b = _params(gamma=0.17052972638400138), PrivacyBudget(0.95, 0.5)
-        got = bound_mse_t1(p, b)
+        got = bound_mse(p, b, "t1")
         shape = (
             mpmath.mpf(100) ** mpmath.mpf("8/3")
             / (
@@ -183,7 +177,7 @@ class TestBoundMseT1:
 
     def test_high_regime_branch_and_value(self):
         p, b = _params(gamma=0.3), PrivacyBudget(2.0, 0.1)
-        got = bound_mse_t1(p, b)
+        got = bound_mse(p, b, "t1")
         shape = 100 ** (8 / 3) / (0.7**2 * 50000 ** (5 / 3))
         expected = shape * max(
             2 * (20 * math.log(20)) ** (2 / 3) / 2 ** (4 / 3),
@@ -195,7 +189,7 @@ class TestBoundMseT1:
     @pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
     def test_never_above_general_bound_at_t1(self, eps, delta):
         p, b = _params(gamma=0.25), PrivacyBudget(eps, delta)
-        assert bound_mse_t1(p, b) <= bound_mse_general(p, b) * (1 + 1e-12)
+        assert bound_mse(p, b, "t1") <= bound_mse(p, b, "general") * (1 + 1e-12)
 
 
 def bound_sigma(params, budget):
@@ -239,14 +233,14 @@ class TestBoundSigma:
             delta = float(rng.uniform(0.001, 0.999))
             p = ProtocolParams(d=d, k=3, n=n, t=t, gamma=gamma)
             b = PrivacyBudget(eps, delta)
-            mse = bound_mse_t1(p, b) if t == 1 else bound_mse_general(p, b)
+            mse = bound_mse(p, b, "t1" if t == 1 else "general")
             assert bound_sigma(p, b) == pytest.approx(math.sqrt(mse), rel=1e-12)
 
     def test_defaults_finite_positive(self):
         p, b = _params(gamma=0.17052972638400138), PrivacyBudget(0.95, 0.5)
         sigma = bound_sigma(p, b)
         assert 0 < sigma < math.inf
-        assert sigma == pytest.approx(math.sqrt(bound_mse_t1(p, b)), rel=1e-12)
+        assert sigma == pytest.approx(math.sqrt(bound_mse(p, b, "t1")), rel=1e-12)
 
 
 class TestEmpiricalBelowBound:
@@ -254,9 +248,9 @@ class TestEmpiricalBelowBound:
         # the bound is a sup over datasets; per-dataset means must sit below
         n, d = 5000, 20
         b = PrivacyBudget(0.95, 0.5)
-        gamma = calibrate_gamma_t1(b, d, 2, n)
+        gamma = calibrate_gamma(b, d, 2, n, 1, "t1")
         params = ProtocolParams(d=d, k=2, n=n, t=1, gamma=gamma)
-        bound = bound_mse_t1(params, b)
+        bound = bound_mse(params, b, "t1")
         matrix = np.random.default_rng(2).random((n, d)) * 0.3
         below = 0
         trials = 40
@@ -274,9 +268,9 @@ class TestEmpiricalBelowBound:
         n, d, t = 50000, 10, 2
         b = PrivacyBudget(0.8, 0.3)
         k = choose_k_general(b, d, n, t)
-        gamma = calibrate_gamma_general(b, d, k, n, t)
+        gamma = calibrate_gamma(b, d, k, n, t, "general")
         params = ProtocolParams(d=d, k=k, n=n, t=t, gamma=gamma)
-        bound = bound_mse_general(params, b)
+        bound = bound_mse(params, b, "general")
         matrix = np.random.default_rng(3).random((n, d)) * 0.2
         for seed in range(5):
             rng = np.random.default_rng(seed)

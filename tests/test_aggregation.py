@@ -48,7 +48,11 @@ class TestShuffle:
         with pytest.raises(ValueError):
             shuffle(np.empty((0, 1), int), np.empty((0, 1), int), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("coords, values", [(3, 3), ([[0], [1]], 3)], ids=["both", "values"])
+    @pytest.mark.parametrize(
+        "coords, values",
+        [(3, 3), ([[0], [1]], 3), (np.int64(3), np.zeros((2, 1), int))],
+        ids=["both", "values", "coords"],
+    )
     def test_zero_dim_batch_rejected(self, coords, values):
         # len() of a 0-d array once raised TypeError
         with pytest.raises(ValueError, match="0-d"):

@@ -16,7 +16,7 @@ from shufflesum import (
     InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
-    calibrate_gamma_general,
+    calibrate_gamma,
     compose_epsilon_prime,
     exact_audit,
     randomize_batch,
@@ -72,7 +72,7 @@ class TestExactTailProbability:
     def test_calibrated_point_tail_below_delta_over_t(self):
         # gamma from the general calibration keeps the tail below delta/t
         b = PrivacyBudget(0.5, 0.1)
-        gamma = calibrate_gamma_general(b, d=1, k=1, n=10001, t=1)
+        gamma = calibrate_gamma(b, d=1, k=1, n=10001, t=1, analysis="general")
         s = 10000  # (n - 1) t / d
         eps_prime, _ = compose_epsilon_prime(b, 1)
         c = gamma * s
@@ -148,7 +148,7 @@ class TestChernoffUpperBound:
         # calibrated gamma meets the precondition exactly at s = 2 E[s]
         for eps, delta, d, n in [(0.5, 0.1, 1, 10001), (0.8, 0.05, 2, 20001)]:
             b = PrivacyBudget(eps, delta)
-            gamma = calibrate_gamma_general(b, d=d, k=1, n=n, t=1)
+            gamma = calibrate_gamma(b, d=d, k=1, n=n, t=1, analysis="general")
             s2 = 2 * (n - 1) // d
             eps_prime, _ = compose_epsilon_prime(b, 1)
             c = gamma * s2
@@ -174,7 +174,7 @@ class TestExactAuditVerdicts:
 
     def test_calibrated_tiny_instance_passes(self):
         b = PrivacyBudget(0.99, 0.9)
-        gamma = calibrate_gamma_general(b, d=1, k=1, n=10, t=1)
+        gamma = calibrate_gamma(b, d=1, k=1, n=10, t=1, analysis="general")
         assert gamma < 1.0
         params = ProtocolParams(d=1, k=1, n=10, t=1, gamma=gamma)
         verdict = exact_audit(params, b)
@@ -330,7 +330,7 @@ class TestExactAudit:
         return exact_audit(params, self.BUDGET)
 
     def test_delta_matches_binomial_oracle(self):
-        calibrated = calibrate_gamma_general(self.BUDGET, d=1, k=1, n=10, t=1)
+        calibrated = calibrate_gamma(self.BUDGET, d=1, k=1, n=10, t=1, analysis="general")
         assert calibrated == pytest.approx(0.5341, abs=1e-4)
         for gamma, expected in ((calibrated, 8.689e-4), (0.05, 0.7228), (0.01, 0.9382)):
             oracle = binomial_pair_delta(10, gamma, 0.99)
@@ -393,6 +393,8 @@ class TestExactAudit:
             (40, 2, 0.3, 0.5, 1e-9),  # k > 1 beyond the dense table's reach
             # p underflows on cells where q does not, yet the supports agree
             (2, 1, 1e-200, 0.5, 1e-300),
+            # the mirrored direction, Q against P, decides delta: epsilon 1.2122
+            (2, 7, 0.3, 0.1, 0.5),
         ],
     )
     def test_matches_the_mpmath_oracle(self, n, k, gamma, eps, delta):

@@ -14,8 +14,8 @@ from shufflesum import (
     InfeasibleParametersError,
     PrivacyBudget,
     ProtocolParams,
-    calibrate_gamma_general,
-    calibrate_gamma_t1,
+    bound_mse,
+    calibrate_gamma,
     choose_k_general,
     choose_k_t1,
     compose_epsilon_prime,
@@ -216,7 +216,7 @@ class TestAdvancedComposition:
 
 class TestCalibrateGammaGeneral:
     def test_frozen_scalar_example(self):
-        got = calibrate_gamma_general(PrivacyBudget(0.5, 0.1), d=1, k=1, n=10001, t=1)
+        got = calibrate_gamma(PrivacyBudget(0.5, 0.1), d=1, k=1, n=10001, t=1, analysis="general")
         assert got == 0.1545135978553794
         oracle = (
             56
@@ -227,45 +227,48 @@ class TestCalibrateGammaGeneral:
         assert got == pytest.approx(float(oracle), rel=1e-12)
 
     def test_frozen_reference_point(self):
-        got = calibrate_gamma_general(PrivacyBudget(0.95, 0.5), d=100, k=3, n=50000, t=1)
+        b = PrivacyBudget(0.95, 0.5)
+        got = calibrate_gamma(b, d=100, k=3, n=50000, t=1, analysis="general")
         oracle = 56 * 300 * mpmath.log(2) * mpmath.log(4) / (49999 * mpmath.mpf("0.9025"))
         assert got == pytest.approx(float(oracle), rel=1e-12)
         assert got == 0.35775167066004077
 
     def test_frozen_ref_t5_point(self):
         # the gamma every ref_t5 benchmark trial runs with
-        got = calibrate_gamma_general(PrivacyBudget(0.95, 0.5), d=100, k=3, n=50000, t=5)
+        b = PrivacyBudget(0.95, 0.5)
+        got = calibrate_gamma(b, d=100, k=3, n=50000, t=5, analysis="general")
         assert got == 0.7730884982092605
 
     def test_small_cohort_is_infeasible(self):
         with pytest.raises(InfeasibleParametersError):
-            calibrate_gamma_general(PrivacyBudget(0.5, 0.1), d=1, k=1, n=1000, t=1)
+            calibrate_gamma(PrivacyBudget(0.5, 0.1), d=1, k=1, n=1000, t=1, analysis="general")
         # formula value ~ 46.4 >> 1: wide vector with a tight budget
         with pytest.raises(InfeasibleParametersError):
-            calibrate_gamma_general(PrivacyBudget(0.5, 0.1), d=100, k=3, n=10001, t=1)
+            calibrate_gamma(PrivacyBudget(0.5, 0.1), d=100, k=3, n=10001, t=1, analysis="general")
 
     def test_formula_of_exactly_one_is_infeasible(self):
         # at n = 101 this eps puts 56 ln 2 ln 4 / (100 eps^2) at 1.0 exactly;
         # the next float up gives the largest gamma below 1
         eps = 0.7335580246908798
         with pytest.raises(InfeasibleParametersError, match="probability 1 is not below 1"):
-            calibrate_gamma_general(PrivacyBudget(eps, 0.5), d=1, k=1, n=101, t=1)
+            calibrate_gamma(PrivacyBudget(eps, 0.5), d=1, k=1, n=101, t=1, analysis="general")
         above = PrivacyBudget(math.nextafter(eps, 1.0), 0.5)
-        assert calibrate_gamma_general(above, d=1, k=1, n=101, t=1) == 0.9999999999999999
+        got = calibrate_gamma(above, d=1, k=1, n=101, t=1, analysis="general")
+        assert got == 0.9999999999999999
 
     def test_high_regime_constant(self):
-        low = calibrate_gamma_general(PrivacyBudget(0.999, 0.1), 1, 1, 10**7, 1)
-        high = calibrate_gamma_general(PrivacyBudget(1.0, 0.1), 1, 1, 10**7, 1)
+        low = calibrate_gamma(PrivacyBudget(0.999, 0.1), 1, 1, 10**7, 1, "general")
+        high = calibrate_gamma(PrivacyBudget(1.0, 0.1), 1, 1, 10**7, 1, "general")
         # 2016/56 = 36, minus the tiny epsilon^2 shift
         assert high / low == pytest.approx(36.0 * 0.999**2, rel=1e-9)
 
     def test_linear_in_d_k_t_log(self):
         b = PrivacyBudget(0.5, 0.1)
-        base = calibrate_gamma_general(b, 1, 1, 10**6, 1)
-        assert calibrate_gamma_general(b, 3, 1, 10**6, 1) == pytest.approx(
+        base = calibrate_gamma(b, 1, 1, 10**6, 1, "general")
+        assert calibrate_gamma(b, 3, 1, 10**6, 1, "general") == pytest.approx(
             3 * base, rel=1e-12
         )
-        assert calibrate_gamma_general(b, 1, 4, 10**6, 1) == pytest.approx(
+        assert calibrate_gamma(b, 1, 4, 10**6, 1, "general") == pytest.approx(
             4 * base, rel=1e-12
         )
 
@@ -279,13 +282,13 @@ class TestCalibrateGammaGeneral:
         budget = PrivacyBudget(eps, delta)
         eps_prime, delta_prime = compose_epsilon_prime(budget, t)
         rule = 14 * (d / t) * k * math.log(2 / delta_prime) / ((n - 1) * eps_prime**2)
-        assert calibrate_gamma_general(budget, d, k, n, t) == pytest.approx(rule / 2, rel=1e-12)
+        assert calibrate_gamma(budget, d, k, n, t, "general") == pytest.approx(rule / 2, rel=1e-12)
 
     @given(n=st.integers(10_001, 10**7))
     def test_monotone_decreasing_in_n(self, n):
         b = PrivacyBudget(0.5, 0.1)
-        assert calibrate_gamma_general(b, 1, 1, n + 1, 1) < calibrate_gamma_general(
-            b, 1, 1, n, 1
+        assert calibrate_gamma(b, 1, 1, n + 1, 1, "general") < calibrate_gamma(
+            b, 1, 1, n, 1, "general"
         )
 
     @given(
@@ -301,7 +304,7 @@ class TestCalibrateGammaGeneral:
         if t > d:
             t = d
         try:
-            gamma = calibrate_gamma_general(PrivacyBudget(eps, delta), d, k, n, t)
+            gamma = calibrate_gamma(PrivacyBudget(eps, delta), d, k, n, t, "general")
         except InfeasibleParametersError:
             return
         assert 0.0 < gamma < 1.0
@@ -309,16 +312,16 @@ class TestCalibrateGammaGeneral:
 
 class TestCalibrateGammaT1:
     def test_frozen_reference_point(self):
-        got = calibrate_gamma_t1(PrivacyBudget(0.95, 0.5), d=100, k=3, n=50000)
+        got = calibrate_gamma(PrivacyBudget(0.95, 0.5), d=100, k=3, n=50000, t=1, analysis="t1")
         assert got == 0.17052972638400138
 
     def test_linear_branch_dominates_scalar(self):
-        got = calibrate_gamma_t1(PrivacyBudget(0.95, 0.5), d=1, k=1, n=50000)
+        got = calibrate_gamma(PrivacyBudget(0.95, 0.5), d=1, k=1, n=50000, t=1, analysis="t1")
         assert got == pytest.approx(27 / (49999 * 0.95), rel=1e-12)
         assert got == pytest.approx(5.6843e-4, abs=1e-7)
 
     def test_high_regime_reference_point(self):
-        got = calibrate_gamma_t1(PrivacyBudget(1.0, 0.5), d=100, k=3, n=50000)
+        got = calibrate_gamma(PrivacyBudget(1.0, 0.5), d=100, k=3, n=50000, t=1, analysis="t1")
         oracle = float(80 * 300 * mpmath.log(4) / 49999)
         assert got == pytest.approx(oracle, rel=1e-12)
         assert got == pytest.approx(0.66543, abs=5e-5)
@@ -330,7 +333,7 @@ class TestCalibrateGammaT1:
                 14 * d * k * math.log(2 / 0.2) / ((n - 1) * 0.4**2),
                 27 * d * k / ((n - 1) * 0.4),
             )
-            assert calibrate_gamma_t1(b, d, k, n) == pytest.approx(expected, rel=1e-12)
+            assert calibrate_gamma(b, d, k, n, 1, "t1") == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3, 0.5])
     @pytest.mark.parametrize("eps", [0.1, 0.4, 0.8, 0.95, 1.0, 2.0, 5.0])
@@ -338,24 +341,24 @@ class TestCalibrateGammaT1:
         # the tightened t=1 analysis can only lower the noise requirement
         b = PrivacyBudget(eps, delta)
         d, k, n = 3, 2, 10**8
-        assert calibrate_gamma_t1(b, d, k, n) <= calibrate_gamma_general(b, d, k, n, 1)
+        assert calibrate_gamma(b, d, k, n, 1, "t1") <= calibrate_gamma(b, d, k, n, 1, "general")
 
     @given(eps=st.floats(0.05, 0.999))
     def test_monotone_in_eps_within_low_regime(self, eps):
-        b1 = calibrate_gamma_t1(PrivacyBudget(eps, 0.1), 1, 1, 10**7)
-        b2 = calibrate_gamma_t1(PrivacyBudget(min(eps * 1.01, 0.9999), 0.1), 1, 1, 10**7)
+        b1 = calibrate_gamma(PrivacyBudget(eps, 0.1), 1, 1, 10**7, 1, "t1")
+        b2 = calibrate_gamma(PrivacyBudget(min(eps * 1.01, 0.9999), 0.1), 1, 1, 10**7, 1, "t1")
         assert b2 <= b1
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleParametersError):
-            calibrate_gamma_t1(PrivacyBudget(0.1, 0.01), d=100, k=3, n=1000)
+            calibrate_gamma(PrivacyBudget(0.1, 0.01), d=100, k=3, n=1000, t=1, analysis="t1")
 
     def test_formula_of_exactly_one_is_infeasible(self, capsys):
         # 27 d k / ((n - 1) eps) = 27 / (54 * 0.5) = 1.0 exactly at n = 55
         b = PrivacyBudget(0.5, 0.9)
         with pytest.raises(InfeasibleParametersError, match="probability 1 is not below 1"):
-            calibrate_gamma_t1(b, d=1, k=1, n=55)
-        assert calibrate_gamma_t1(b, d=1, k=1, n=56) == 27 / (55 * 0.5)
+            calibrate_gamma(b, d=1, k=1, n=55, t=1, analysis="t1")
+        assert calibrate_gamma(b, d=1, k=1, n=56, t=1, analysis="t1") == 27 / (55 * 0.5)
         argv = ["params", "--n", "55", "--d", "1", "--k", "1", "--t", "1"]
         assert main([*argv, "--eps", "0.5", "--delta", "0.9"]) == 2
         assert "t=1 calibration: required blanket probability 1 is not below 1" in (
@@ -367,18 +370,62 @@ class TestCalibrateGammaT1:
 @pytest.mark.parametrize(
     "field, call",
     [
-        ("d", lambda b, v: calibrate_gamma_t1(b, v, 1, 10001)),
-        ("k", lambda b, v: calibrate_gamma_general(b, 10, v, 10001, 2)),
+        ("d", lambda b, v: calibrate_gamma(b, v, 1, 10001, 1, "t1")),
+        ("k", lambda b, v: calibrate_gamma(b, 10, v, 10001, 2, "general")),
         ("n", lambda b, v: choose_k_t1(b, 10, v)),
         ("t", lambda b, v: choose_k_general(b, 10, 10001, v)),
     ],
-    ids=["calibrate_gamma_t1", "calibrate_gamma_general", "choose_k_t1", "choose_k_general"],
+    ids=["calibrate_gamma-t1", "calibrate_gamma-general", "choose_k_t1", "choose_k_general"],
 )
 def test_calibrators_and_choosers_refuse_non_integer_dims(field, call, bad):
     # the integer rule of ProtocolParams: d = True would calibrate as d = 1,
     # and a fractional k is named, not mistaken for an infeasible budget
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         call(PrivacyBudget(0.5, 0.1), bad)
+
+
+@pytest.mark.parametrize(
+    "t, analysis, message",
+    [
+        (2, "t1", "t=1 analysis requested with t=2"),
+        (1, "numeric", "analysis must be 't1' or 'general', got 'numeric'"),
+        (2, "General", "analysis must be 't1' or 'general', got 'General'"),
+    ],
+    ids=["t1-at-t2", "numeric", "General"],
+)
+def test_calibrator_and_bound_refuse_an_analysis_they_cannot_apply(t, analysis, message):
+    # a ValueError, not an InfeasibleParametersError: the call is wrong, the
+    # budget may be fine
+    b = PrivacyBudget(0.95, 0.5)
+    with pytest.raises(ValueError, match=f"^{message}$") as calibrated:
+        calibrate_gamma(b, 100, 3, 50000, t, analysis)
+    with pytest.raises(ValueError, match=f"^{message}$") as bounded:
+        bound_mse(ProtocolParams(d=100, k=3, n=50000, t=t, gamma=0.2), b, analysis)
+    assert type(calibrated.value) is type(bounded.value) is ValueError
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-4, 0.01, 0.5, 0.999])
+def test_high_regime_linear_branch_never_decides(delta):
+    # The paper's t = 1 analysis at 1 <= eps < 6 has two branches for gamma,
+    # the bound and k*; the linear one, 36 d k / (11 (n-1) eps), decides only
+    # at eps > 80 (11/36) ln(2/delta) > 16.9.  Over a grid the paper's max
+    # (gamma, bound) and min (k*) equal the one-branch values exactly.
+    d, k, n = 100, 3, 10**9
+    log2d = math.log(2 / delta)
+    for eps in [*np.linspace(1.0, 6.0, 40, endpoint=False), math.nextafter(6.0, 0.0)]:
+        eps = float(eps)
+        b = PrivacyBudget(eps, delta)
+        quadratic = 80 * d * k * log2d / ((n - 1) * eps**2)
+        gamma = calibrate_gamma(b, d, k, n, 1, "t1")
+        assert gamma == max(quadratic, 36 * d * k / (11 * (n - 1) * eps)) == quadratic
+        worst = max(80 * log2d / eps**2, 36 / 11 / eps)
+        assert worst == 80 * log2d / eps**2
+        p = ProtocolParams(d=d, k=k, n=n, t=1, gamma=gamma)
+        shape = d ** (8 / 3) / ((1 - gamma) ** 2 * n ** (5 / 3))
+        assert bound_mse(p, b, "t1") == shape * worst ** (2 / 3) / 2 ** (1 / 3)
+        k_star = (n * eps**2 / (160 * d * log2d)) ** (1 / 3)
+        assert min(k_star, (11 * n * eps / (72 * d)) ** (1 / 3)) == k_star
+        assert choose_k_t1(b, d, n) == max(1, math.floor(k_star + 0.5))
 
 
 class TestChooseK:
