@@ -1,21 +1,21 @@
 """Mutation gauge: how many one-operator mutants of a module do its tests kill?
 
-usage: python tools/mutate.py MODULE TEST_FILE... [--work DIR]
+usage: python tools/mutate.py MODULE TEST_FILE...
 
 MODULE names a file of src/shufflesum (say `calibration`).  Each mutant
 changes one node of that module's syntax tree:
 - a comparison flipped: < and <=, > and >=, == and != swap;
 - an arithmetic operator swapped: + and -, * and / swap;
 - a numeric constant (not a bool) increased by 1.
-The repository is copied once to the work directory (a fresh temporary
-directory by default).  For each mutant the mutated module is written
+The repository is copied once to a fresh temporary directory, which is
+deleted however the run ends.  For each mutant the mutated module is written
 there, in place of the original, and `pytest -x -q` runs the given test
 files; a failing run kills the mutant, and so does one that takes ten
 times as long as the unmutated copy (at least a minute), which must pass
 first.  The script prints the kill table row and each surviving
 mutant, marking those listed in EQUIVALENT.  It needs the standard library
 and the test suite's own dependencies only, and changes nothing outside
-the work directory.
+its temporary directory.
 
 A mutant is named by the function it sits in, the smallest expression that
 holds it, and that expression after the change; the name survives edits
@@ -145,32 +145,29 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module")
     parser.add_argument("tests", nargs="+")
-    parser.add_argument("--work", type=Path, help="work directory (default: a temporary one)")
     args = parser.parse_args(argv)
 
-    work = args.work or Path(tempfile.mkdtemp(prefix="mutate-"))
-    shutil.copytree(
-        ROOT, work, dirs_exist_ok=True,
-        ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"),
-    )
-    target = work / "src" / "shufflesum" / f"{args.module}.py"
-    original = target.read_text()
+    with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
+        work = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT, work,
+            ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"),
+        )
+        target = work / "src" / "shufflesum" / f"{args.module}.py"
+        original = target.read_text()
 
-    start = time.perf_counter()
-    if not run_tests(work, args.tests, timeout=3600):
-        sys.exit("the unmutated module fails its tests; nothing to measure")
-    timeout = max(60.0, 10 * (time.perf_counter() - start))
+        start = time.perf_counter()
+        if not run_tests(work, args.tests, timeout=3600):
+            sys.exit("the unmutated module fails its tests; nothing to measure")
+        timeout = max(60.0, 10 * (time.perf_counter() - start))
 
-    killed, survivors = 0, []
-    try:
+        killed, survivors = 0, []
         for function, before, after, mutated in mutants(original):
             target.write_text(mutated)
             if run_tests(work, args.tests, timeout):
                 survivors.append((function, before, after))
             else:
                 killed += 1
-    finally:
-        target.write_text(original)
 
     total = killed + len(survivors)
     names = ", ".join(Path(t).stem.removeprefix("test_") for t in args.tests)
@@ -181,9 +178,6 @@ def main(argv=None):
         reason = EQUIVALENT.get((args.module, function, before, after))
         mark = f"equivalent: {reason}" if reason else "SURVIVED"
         print(f"- {function}: `{before}` -> `{after}` ({mark})")
-    if args.work is None:
-        shutil.rmtree(work)
-
 
 if __name__ == "__main__":
     main()
