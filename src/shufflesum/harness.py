@@ -227,7 +227,10 @@ def ingest_csv(
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
         if _loadtxt_agrees(text):
-            fh.seek(0)  # a handle, as numpy imports gzip to open a path
+            # loadtxt reads the file a second time, through this handle: a path
+            # makes numpy import gzip, and io.StringIO(text) parses slower and
+            # raises peak memory
+            fh.seek(0)
             with contextlib.suppress(ValueError):
                 matrix = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)  # "#" is a cell
     if matrix is None or not np.isfinite(matrix).all():

@@ -98,7 +98,7 @@ def test_bounds_reject_gamma_one(analysis):
         bound_mse(_params(gamma=1.0), PrivacyBudget(0.95, 0.5), analysis)
 
 
-class TestBoundMseGeneral:
+class TestGeneralBound:
     def test_homogeneity_in_d_and_n(self):
         b = PrivacyBudget(0.95, 0.5)
         base = bound_mse(_params(), b, "general")
@@ -148,7 +148,7 @@ class TestBoundMseGeneral:
         assert three / one == pytest.approx(ratio, rel=1e-12)
 
 
-class TestBoundMseT1:
+class TestT1Bound:
     def test_homogeneity_in_d(self):
         b = PrivacyBudget(0.95, 0.5)
         base = bound_mse(_params(), b, "t1")

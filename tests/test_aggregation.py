@@ -1,4 +1,4 @@
-"""Shuffler simulation and analyzer: aggregation, debiasing, averages."""
+"""Shuffler simulation and analyzer: aggregation and debiasing."""
 
 import itertools
 from dataclasses import replace
@@ -17,6 +17,7 @@ from shufflesum import (
     randomize_batch,
     shuffle,
 )
+from uniform_grid import UniformsRng, cell_grid
 
 
 def counts_of(coords, d):
@@ -62,34 +63,17 @@ class TestShuffle:
         with pytest.raises(ValueError):
             shuffle([[0], [1]], [[1]], np.random.default_rng(0))
 
-    def test_multiset_preserved(self):
-        coords = np.arange(50)[:, None] % 4
-        values = np.arange(50)[:, None] % 3
-        out_c, out_v = shuffle(coords, values, np.random.default_rng(1))
-        pairs = lambda c, v: sorted(zip(c.ravel().tolist(), v.ravel().tolist()))
-        assert pairs(out_c, out_v) == pairs(coords, values)
-        assert not np.array_equal(out_c, coords)  # rows did move
-
-    def test_permutation_frequencies_uniform(self):
-        coords, values = batch([(0, 0)], [(1, 1)], [(2, 2)])
-        orders = {perm: 0 for perm in itertools.permutations((0, 1, 2))}
-        rng = np.random.default_rng(2)
-        draws = 100_000
-        for _ in range(draws):
-            out_c, out_v = shuffle(coords, values, rng)
-            assert np.array_equal(out_c, out_v)  # rows stay paired
-            orders[tuple(out_c[:, 0].tolist())] += 1
-        for count in orders.values():
-            assert abs(count / draws - 1 / 6) < 0.01
-
     def test_same_draw_as_one_permutation(self):
-        # the shuffler consumes exactly rng.permutation(m)
-        coords = np.arange(20)[:, None]
-        out_c, _ = shuffle(coords, coords, np.random.default_rng(3))
-        assert np.array_equal(out_c[:, 0], np.random.default_rng(3).permutation(20))
+        # the shuffler consumes exactly rng.permutation(m) and moves each
+        # values row with its coords row: a multiset-preserving shuffle,
+        # uniform as numpy's permutation is
+        coords, values = np.arange(20)[:, None], np.arange(20, 40)[:, None]
+        out_c, out_v = shuffle(coords, values, np.random.default_rng(3))
+        perm = np.random.default_rng(3).permutation(20)
+        assert np.array_equal(out_c, coords[perm]) and np.array_equal(out_v, values[perm])
 
 
-class TestAggregate:
+class TestAggregateArrays:
     def test_two_messages_same_cell(self):
         params = ProtocolParams(d=4, k=3, n=10, t=1, gamma=0.0)
         sums, counts = aggregate_arrays(*batch([(2, 3)], [(2, 3)]), params)
@@ -178,20 +162,21 @@ class TestDebias:
         with pytest.raises(InfeasibleParametersError):
             analyze_arrays(*batch([(0, 1)], [(0, 2)]), params)
 
-    def test_monte_carlo_unbiasedness(self):
-        # fixed inputs, randomness over the mechanism: E[z] = true sum
-        gamma, k, n = 0.4, 3, 400
-        params = ProtocolParams(d=1, k=k, n=n, t=1, gamma=gamma)
-        x = np.full((n, 1), 2 / 3)  # exact grid point: encoding deterministic
-        true_sum = n * 2 / 3
-        trials = 4000
-        rng = np.random.default_rng(8)
-        outs = np.empty(trials)
-        for i in range(trials):
-            coords, values = randomize_batch(x, params, rng)
-            outs[i] = analyze_arrays(coords, values, params)[0]
-        se = outs.std(ddof=1) / np.sqrt(trials)
-        assert abs(outs.mean() - true_sum) < 3 * se
+    @pytest.mark.parametrize("gamma", [0.2, 0.4])
+    def test_unbiased_over_enumerated_uniforms(self, gamma):
+        # t = 1 on the d R cell midpoints (uniform_grid): each coordinate
+        # gets R users, whose u' are the R midpoints.  A user's value is a
+        # step function of u' with at most k + 2 breakpoints, each moving at
+        # most one midpoint by at most k, so each total lies within k (k + 2)
+        # of R E v and each estimate within (k + 2)/(1 - gamma) of R x
+        k, R = 3, 2**14
+        levels = np.array([0.1, 0.3, 2 / 3, 0.9, 1.0])
+        params = ProtocolParams(d=5, k=k, n=5 * R, t=1, gamma=gamma)
+        rng = UniformsRng(cell_grid(params.d, 1, R))
+        coords, values = randomize_batch(np.tile(levels, (params.n, 1)), params, rng)
+        assert np.array_equal(counts_of(coords, params.d), np.full(params.d, R))
+        est = analyze_arrays(coords, values, params)
+        assert np.all(np.abs(est - R * levels) <= (k + 2) / (1 - gamma))
 
 
 class TestAnalyze:
@@ -251,18 +236,6 @@ class TestAnalyze:
         if as_values is np.asfortranarray:
             assert not values.flags.c_contiguous
         assert analyze_arrays(coords, values, params).tobytes() == want.tobytes()
-
-
-class TestEstimateAverage:
-    def test_population_mean_recovery(self):
-        # large n, moderate blanket: per-coordinate mean estimates land near x
-        params = ProtocolParams(d=4, k=3, n=40_000, t=1, gamma=0.2)
-        levels = np.array([0.1, 0.3, 0.6, 0.9])
-        matrix = np.tile(levels, (params.n, 1))
-        coords, values = randomize_batch(matrix, params, np.random.default_rng(10))
-        est = analyze_arrays(coords, values, params)
-        avg = est / counts_of(coords, params.d)
-        assert np.all(np.abs(avg - levels) < 0.05)
 
 
 ELEMENTS = {

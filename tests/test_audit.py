@@ -25,7 +25,7 @@ from shufflesum.audit import MAX_OUTCOMES
 from shufflesum.cli import main
 
 
-class TestExactTailProbability:
+class TestBlanketTail:
     def test_small_case_against_independent_oracle(self):
         s, gamma, k, eps_prime = 100, 0.5, 2, 0.5
         c = gamma * s / k

@@ -214,7 +214,7 @@ class TestAdvancedComposition:
             advanced_composition(0.1, 5, 1.0)
 
 
-class TestCalibrateGammaGeneral:
+class TestGeneralCalibration:
     def test_frozen_scalar_example(self):
         got = calibrate_gamma(PrivacyBudget(0.5, 0.1), d=1, k=1, n=10001, t=1, analysis="general")
         assert got == 0.1545135978553794
@@ -310,7 +310,7 @@ class TestCalibrateGammaGeneral:
         assert 0.0 < gamma < 1.0
 
 
-class TestCalibrateGammaT1:
+class TestT1Calibration:
     def test_frozen_reference_point(self):
         got = calibrate_gamma(PrivacyBudget(0.95, 0.5), d=100, k=3, n=50000, t=1, analysis="t1")
         assert got == 0.17052972638400138

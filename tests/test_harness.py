@@ -555,6 +555,28 @@ def test_benchmark_traced_bindings_exist():
     assert spans.TARGETS and missing == RETIRED_BINDINGS
 
 
+@pytest.mark.parametrize(
+    "module, test, message",
+    [
+        ("nosuch", "tests/test_calibration.py", "unknown module 'nosuch'"),
+        ("calibration", "tests/test_nosuch.py", "no test file tests/test_nosuch.py"),
+        ("calibration", pytest.__file__, "lies outside the repository"),
+    ],
+)
+def test_mutation_gauge_refuses_bad_arguments(module, test, message, monkeypatch, capsys):
+    # tools/mutate.py, loaded by path: each bad argument is a usage error,
+    # raised before the repository is copied
+    path = Path(__file__).resolve().parents[1] / "tools" / "mutate.py"
+    spec = importlib.util.spec_from_file_location("_mutate", path)
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    monkeypatch.setattr(mutate.shutil, "copytree", lambda *args, **kwargs: pytest.fail("copied"))
+    with pytest.raises(SystemExit) as exit_:
+        mutate.main([module, test])
+    err = capsys.readouterr().err.splitlines()
+    assert exit_.value.code == 2 and err[0].startswith("usage:") and message in err[-1]
+
+
 def test_cli_import_loads_no_scipy_and_all_that_main_needs(tmp_path):
     # perfbench/child.py times `import shufflesum.cli` as set-up and one
     # `main` call as the run: a module first loaded inside main would move

@@ -128,7 +128,7 @@ def test_package_opens_files_with_an_encoding(path):
 # The package's functions that call open() or ingest_csv(), each with its
 # reason: the dataset is opened in one place, and read for the CLI in one.
 FILE_OPENERS = {
-    "harness.ingest_csv": "opens the dataset once; both of its parsers read that text",
+    "harness.ingest_csv": "opens the dataset once; np.loadtxt rereads it through that handle",
     "harness._write_csv": "writes one output table",
     "cli._read_config_file": "reads the --config file",
     "cli._read_dataset": "reads --dataset for run, sweep and ingest-check",

@@ -2,6 +2,8 @@
 randomized response), coordinate sampling, and the batch entry point."""
 
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from shufflesum import ProtocolParams, protocol, randomize_batch, run_trial
 from shufflesum.protocol import _floyd_sample, _randomize_rows
+from uniform_grid import UniformsRng, cell_grid
 
 
 def kernel(x, k, gamma, u):
@@ -25,7 +28,7 @@ def draw(x, k, gamma, seed):
     return kernel(x, k, gamma, np.random.default_rng(seed).random(x.shape))
 
 
-class TestEncodeFixedPoint:
+class TestRespondEncoding:
     """The encoding stage of `_respond`, isolated by gamma = 0."""
 
     def test_exact_grid_points_are_deterministic(self):
@@ -33,23 +36,8 @@ class TestEncodeFixedPoint:
         assert draw([1.0], 3, 0.0, 1).tolist() == [3]
         assert draw([0.0], 7, 0.0, 2).tolist() == [0]
         assert np.all(draw(np.full(50, 0.25), 4, 0.0, 3) == 1)
-
-    def test_rejects_out_of_range(self):
-        # the kernel checks nothing, so the encoding never sees such an x:
-        # at t = d every entry is gathered, and the gather refuses it
-        params = ProtocolParams(d=2, k=2, n=10, t=2, gamma=0.0)
-        for bad in (-0.1, 1.1, np.nan):
-            matrix = np.full((params.n, params.d), 0.5)
-            matrix[3, 1] = bad
-            with pytest.raises(ValueError, match=r"^inputs must lie in \[0, 1\]"):
-                randomize_batch(matrix, params, np.random.default_rng(0))
-
-    def test_bernoulli_mean(self):
-        # x=0.3, k=1: output is Ber(0.3)
-        draws = 200_000
-        out = draw(np.full(draws, 0.3), 1, 0.0, 7)
-        se = np.sqrt(0.3 * 0.7 / draws)
-        assert abs(out.mean() - 0.3) < 3 * se
+        v = np.arange(5)
+        assert np.array_equal(draw(v / 4, 4, 0.0, 0), v)
 
     @given(x=st.floats(0.0, 1.0), k=st.integers(1, 20))
     @settings(max_examples=200)
@@ -58,47 +46,9 @@ class TestEncodeFixedPoint:
         assert 0 <= v <= k
         assert abs(v - x * k) < 1.0 or v == x * k
 
-    def test_unbiased_and_variance_capped_on_grid(self):
-        # E[encoded/k] = x and Var[encoded] = frac(xk)(1-frac(xk)) <= 1/4
-        draws = 400_000
-        for k in (1, 2, 3, 5):
-            for x in np.linspace(0.0, 1.0, 11):
-                rng = np.random.default_rng(int(1000 * x) + 17 * k)
-                scaled = x * k
-                frac = scaled - np.floor(scaled)
-                vals = np.floor(scaled) + (rng.random(draws) < frac)
-                mean = vals.mean() / k
-                se = np.sqrt(max(frac * (1 - frac), 1e-12) / draws) / k
-                assert abs(mean - x) <= 3 * se + 1e-12
-                assert vals.var() <= 0.25 + 3e-3
-        # and the kernel agrees with the closed form at one interior point
-        vals = draw(np.full(50_000, 0.55), 3, 0.0, 3)
-        assert vals.var() <= 1 / 4 + 5e-3  # raw-value variance cap, any k
-        assert abs(vals.mean() / 3 - 0.55) < 3 * np.sqrt(0.25 / 50_000) / 3 + 1e-3
 
-
-class TestRandomizedResponse:
-    """The blanket stage of `_respond`, on grid-point inputs whose encoding
-    is deterministic (x = v / k encodes to v)."""
-
-    def test_gamma_zero_is_identity(self):
-        v = np.arange(5)
-        assert np.array_equal(draw(v / 4, 4, 0.0, 0), v)
-
-    def test_gamma_one_is_uniform(self):
-        draws = 200_000
-        outs = draw(np.full(draws, 2 / 3), 3, 1.0, 11)
-        se = np.sqrt(0.25 * 0.75 / draws)
-        for sym in range(4):
-            assert abs((outs == sym).mean() - 0.25) < 4 * se
-
-    def test_truth_retention_probability(self):
-        # Pr[output = v] = 1 - gamma + gamma/(k+1) = 0.8 + 0.2/3
-        draws = 200_000
-        outs = draw(np.full(draws, 0.5), 2, 0.2, 5)
-        p = 0.8 + 0.2 / 3
-        se = np.sqrt(p * (1 - p) / draws)
-        assert abs((outs == 1).mean() - p) < 3 * se
+class TestRespondBlanket:
+    """The blanket stage of `_respond`: its parameters and its domain."""
 
     @pytest.mark.parametrize(
         "field, k, gamma",
@@ -118,18 +68,6 @@ class TestRandomizedResponse:
         out = draw(np.full(50, x), k, gamma, 2)
         assert out.dtype == np.int64
         assert out.min() >= 0 and out.max() <= k
-
-
-class UniformsRng:
-    """A generator whose `random` fills its output with chosen uniforms, so
-    the sampler's split of each uniform can be driven directly."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, out):
-        out[...] = self.u
-        return out
 
 
 class CountingRng:
@@ -222,75 +160,92 @@ class TestOneUniformLaw:
             assert out.tolist() == [0, 0, 1, 2, 3, 3]
 
 
-class TestRandomizeVector:
-    """Each user's vector is randomized on its own: these per-user laws are
-    checked over a batch of users holding the same vector."""
+class TestEnumeratedLaws:
+    """The per-user laws, counted exactly over enumerated uniforms
+    (`uniform_grid`): no seed and no sampling error, only the grid's own
+    tolerance where a law's breakpoints fall inside a grid cell."""
 
-    def _batch(self, x, params, seed):
-        matrix = np.tile(np.asarray(x, dtype=float), (params.n, 1))
-        return randomize_batch(matrix, params, np.random.default_rng(seed))
+    @pytest.mark.parametrize(
+        "d, t, sub", [(5, 2, 8), (7, 3, 8), (6, 3, 8), (5, 3, 8), (6, 6, 2), (8, 1, 8)]
+    )
+    def test_t_subset_law(self, d, t, sub):
+        # over every tuple of Floyd cells, sub sub-cells per row: each t-subset
+        # occurs exactly t! sub^t times, and in each row each coordinate's u'
+        # falls equally often into each sub-cell (u' is independent of it)
+        grid = cell_grid(d, t, sub)
+        coords, uniforms = np.empty(grid.shape, dtype=np.int64), np.empty(grid.shape)
+        _floyd_sample(UniformsRng(grid), d, coords, uniforms)
+        subsets = Counter(map(tuple, np.sort(coords, axis=0).T.tolist()))
+        each = math.factorial(t) * sub**t
+        assert subsets == dict.fromkeys(itertools.combinations(range(d), t), each)
+        assert uniforms.min() >= 0.0 and uniforms.max() < 1.0
+        for row, cells in zip(coords, (uniforms * sub).astype(np.int64)):
+            hits = np.bincount(row * sub + cells, minlength=d * sub).reshape(d, sub)
+            assert np.all(hits == hits[:, :1])
 
-    def test_lossless_limit(self):
-        # t=d, gamma=0, huge k: y/k reconstructs the vector to within 1/k
-        k = 10**6
-        params = ProtocolParams(d=3, k=k, n=10, t=3, gamma=0.0)
-        x = np.array([0.123456, 0.9999, 0.5])
-        coords, values = self._batch(x, params, 0)
-        assert np.array_equal(np.sort(coords, axis=1), np.tile([0, 1, 2], (params.n, 1)))
-        assert np.all(np.abs(values / k - x[coords]) <= 1 / k)
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 0.9, 1.0])
+    def test_value_law(self, k, gamma):
+        # _respond on the G midpoints u = (i + 1/2)/G, for x on and off the
+        # k-grid: Pr[v] = gamma/(k + 1), plus 1 - gamma split as 1 - f at
+        # floor(xk) and f at floor(xk) + 1, so E v = (1 - gamma) xk + gamma
+        # k/2 and E v^2 = (1 - gamma)((xk)^2 + f(1 - f)) + gamma k(2k + 1)/6.
+        # v is a step function of u with at most k + 2 breakpoints; each
+        # moves at most one midpoint, by at most k, hence the tolerances
+        G = 2**16
+        x = np.array([0.0, 0.1, 0.25, 0.3, 1 / 3, 0.5, 0.55, 2 / 3, 0.71, 0.9, 1.0])[:, None]
+        u = np.broadcast_to((np.arange(G) + 0.5) / G, (len(x), G))
+        values = kernel(np.broadcast_to(x, u.shape), k, gamma, u)
+        v = np.arange(k + 1)
+        scaled = x * k
+        low, f = np.divmod(scaled, 1.0)
+        law = gamma / (k + 1) + (1 - gamma) * ((v == low) * (1 - f) + (v == low + 1) * f)
+        tol = (k + 2) / G
+        assert np.all(np.abs((values[..., None] == v).mean(axis=1) - law) <= tol)
+        mean = (1 - gamma) * scaled + gamma * k / 2
+        assert np.all(np.abs(values.mean(axis=1, keepdims=True) - mean) <= k * tol)
+        second = (1 - gamma) * (scaled**2 + f * (1 - f)) + gamma * k * (2 * k + 1) / 6
+        assert np.all(np.abs((values**2).mean(axis=1, keepdims=True) - second) <= k * k * tol)
 
-    def test_coordinate_sampling_uniform(self):
-        draws = 20_000
-        coords = np.empty((1, draws), dtype=np.int64)
-        _floyd_sample(np.random.default_rng(9), 4, coords, np.empty((1, draws)))
-        freq = np.bincount(coords[0], minlength=4) / draws
-        assert np.all(np.abs(freq - 0.25) < 0.01)
+    def test_message_law(self):
+        # randomize_batch at d = 3, t = 2, k = 1 over the 6 Floyd cell pairs,
+        # 100 sub-cells per row: 60 000 users in four blocks, the last one
+        # partial.  Each message (a coordinate pair and its values) occurs
+        # exactly as often as the per-user law says (a uniform 2-subset, then
+        # _respond's law per entry, independently), as every breakpoint of
+        # the value law (gamma/2, gamma and gamma + x(1 - gamma)) lies on the
+        # 1/100 grid; the law with x reversed lies 0.14 away
+        x, gamma = np.array([0.2, 0.5, 0.9]), 0.4
+        grid = cell_grid(3, 2, 100)
+        params = ProtocolParams(d=3, k=1, n=grid.shape[1], t=2, gamma=gamma)
+        assert params.n % (protocol.BLOCK_ENTRIES // params.t) > 0
+        rng = UniformsRng(grid)
+        coords, values = randomize_batch(np.tile(x, (params.n, 1)), params, rng)
+        assert rng.used == params.n
+        order = np.argsort(coords, axis=1)
+        low, high = np.take_along_axis(values, order, axis=1).T
+        missing = 3 - coords.sum(axis=1)  # names the pair {0, 1, 2} - {missing}
+        freq = np.bincount(4 * missing + 2 * low + high, minlength=12) / params.n
 
-    def test_pure_blanket_value_distribution_uniform(self):
-        draws = 40_000
-        params = ProtocolParams(d=2, k=3, n=draws, t=1, gamma=1.0)
-        _, values = self._batch([0.0, 1.0], params, 4)
-        se = np.sqrt(0.25 * 0.75 / draws)
-        for sym in range(4):
-            assert abs((values == sym).mean() - 0.25) < 4 * se
+        def law(x):  # Pr[pair, values] = Pr[v_a] Pr[v_b] / 3, indexed as freq
+            one = (1 - gamma) * x + gamma / 2  # Pr[value 1] at k = 1
+            pr = np.stack([1 - one, one])  # (value, coordinate)
+            pairs = ((1, 2), (0, 2), (0, 1))  # by missing coordinate
+            return np.concatenate([np.outer(pr[:, a], pr[:, b]).ravel() / 3 for a, b in pairs])
 
-    def test_distinct_coordinates_and_domain(self):
-        params = ProtocolParams(d=6, k=4, n=200, t=4, gamma=0.5)
-        coords, values = self._batch(np.linspace(0, 1, 6), params, 1)
-        for row in coords.tolist():
-            assert len(set(row)) == params.t
-        assert coords.min() >= 0 and coords.max() < params.d
-        assert values.min() >= 0 and values.max() <= params.k
-
-    def test_rejects_bad_vectors(self):
-        params = ProtocolParams(d=3, k=2, n=100, t=1, gamma=0.1)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            randomize_batch(np.full((params.n, 2), 0.5), params, rng)
-        # an out-of-range entry raises once a user samples it (all but
-        # surely one of 100 users does)
-        for bad in (1.5, -0.5, np.nan):
-            with pytest.raises(ValueError):
-                self._batch([0.1, 0.2, bad], params, 0)
-
-    def test_deterministic_given_seed(self):
-        params = ProtocolParams(d=5, k=3, n=10, t=2, gamma=0.4)
-        x = np.linspace(0.1, 0.9, 5)
-        a = self._batch(x, params, 123)
-        b = self._batch(x, params, 123)
-        for arr_a, arr_b in zip(a, b):
-            assert arr_a.dtype == np.int64 and arr_a.shape == (params.n, params.t)
-            assert np.array_equal(arr_a, arr_b)
+        assert np.abs(freq - law(x)).max() <= 1e-12
+        assert np.abs(freq - law(x[::-1])).max() > 0.1
 
 
 class TestRandomizeBatch:
     def _params(self, n=500, d=8, k=3, t=2, gamma=0.3):
         return ProtocolParams(d=d, k=k, n=n, t=t, gamma=gamma)
 
-    def test_shapes_and_domains(self):
-        params = self._params()
-        rng = np.random.default_rng(0)
-        matrix = rng.random((params.n, params.d))
+    @pytest.mark.parametrize("d, t", [(8, 2), (6, 4)])
+    def test_shapes_and_domains(self, d, t):
+        params = self._params(d=d, t=t)
+        matrix = np.random.default_rng(0).random((params.n, params.d))
+        matrix[:, [0, -1]] = 0.0, 1.0  # the ends of the range are valid entries
         coords, values = randomize_batch(matrix, params, np.random.default_rng(1))
         assert coords.shape == values.shape == (params.n, params.t)
         assert coords.min() >= 0 and coords.max() < params.d
@@ -306,36 +261,21 @@ class TestRandomizeBatch:
     def test_deterministic_given_seed(self):
         params = self._params()
         matrix = np.random.default_rng(0).random((params.n, params.d))
-        c1, v1 = randomize_batch(matrix, params, np.random.default_rng(9))
-        c2, v2 = randomize_batch(matrix, params, np.random.default_rng(9))
-        assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
+        a = randomize_batch(matrix, params, np.random.default_rng(9))
+        b = randomize_batch(matrix, params, np.random.default_rng(9))
+        for arr_a, arr_b in zip(a, b):
+            assert arr_a.dtype == np.int64 and arr_a.shape == (params.n, params.t)
+            assert np.array_equal(arr_a, arr_b)
 
-    def test_coordinate_marginal_uniform(self):
-        params = self._params(n=20_000, d=5, t=2, gamma=0.0)
-        matrix = np.full((params.n, params.d), 0.5)
-        coords, _ = randomize_batch(matrix, params, np.random.default_rng(3))
-        freq = np.bincount(coords.ravel(), minlength=5) / coords.size
-        se = np.sqrt(0.2 * 0.8 / coords.size)
-        assert np.all(np.abs(freq - 0.2) < 4 * se)
-
-    @pytest.mark.parametrize("d, t", [(5, 2), (7, 3), (6, 3), (5, 3)])
-    def test_subsets_jointly_uniform(self, d, t):
-        # every t-subset has probability 1/C(d, t); within-row order is
-        # not exchangeable under Floyd's algorithm, so only sets are
-        # compared; the last two cases have t >= d/2
-        params = self._params(n=60_000, d=d, t=t, gamma=0.0)
-        coords, _ = randomize_batch(
-            np.full((params.n, d), 0.5), params, np.random.default_rng(12)
-        )
-        subsets = list(itertools.combinations(range(d), t))
-        index = {s: i for i, s in enumerate(subsets)}
-        hits = np.bincount(
-            [index[tuple(row)] for row in np.sort(coords, axis=1).tolist()],
-            minlength=len(subsets),
-        )
-        p = 1 / len(subsets)
-        se = np.sqrt(p * (1 - p) / params.n)
-        assert np.all(np.abs(hits / params.n - p) < 4 * se)
+    def test_lossless_limit(self):
+        # t=d, gamma=0, huge k: y/k reconstructs the vector to within 1/k
+        k = 10**6
+        params = self._params(n=10, d=3, k=k, t=3, gamma=0.0)
+        x = np.array([0.123456, 0.9999, 0.5])
+        rng = np.random.default_rng(0)
+        coords, values = randomize_batch(np.tile(x, (params.n, 1)), params, rng)
+        assert np.array_equal(np.sort(coords, axis=1), np.tile([0, 1, 2], (params.n, 1)))
+        assert np.all(np.abs(values / k - x[coords]) <= 1 / k)
 
     def test_t_equals_d_gives_permutations(self):
         params = self._params(n=300, d=7, t=7)
@@ -361,59 +301,21 @@ class TestRandomizeBatch:
                 values[:, 0], kernel(x, params.k, params.gamma, s - expected)
             )
 
-    def test_message_law_at_t2(self):
-        # ~2e5 users at d = 3, t = 2: each message, a coordinate pair and
-        # the values there, must be within 5 SE of the per-user law (a
-        # uniform 2-subset, then _respond's law per entry, independently),
-        # so the uniform that _respond reads is independent of Floyd's
-        # replacement; the law with x reversed must fail the same check
-        x, gamma = np.array([0.2, 0.5, 0.9]), 0.4
-        params = self._params(n=200_000, d=3, k=1, t=2, gamma=gamma)
-        coords, values = randomize_batch(
-            np.tile(x, (params.n, 1)), params, np.random.default_rng(31)
-        )
-        order = np.argsort(coords, axis=1)
-        low, high = np.take_along_axis(values, order, axis=1).T
-        missing = 3 - coords.sum(axis=1)  # names the pair {0, 1, 2} - {missing}
-        freq = np.bincount(4 * missing + 2 * low + high, minlength=12) / params.n
-
-        def law(x):
-            one = (1 - gamma) * x + gamma / 2  # Pr[value 1] at k = 1
-            p = np.empty(12)
-            for missing, (a, b) in zip((2, 1, 0), ((0, 1), (0, 2), (1, 2))):
-                for va, vb in itertools.product((0, 1), repeat=2):
-                    pa = one[a] if va else 1 - one[a]
-                    pb = one[b] if vb else 1 - one[b]
-                    p[4 * missing + 2 * va + vb] = pa * pb / 3
-            return p
-
-        def within_5_se(p):
-            return bool(np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / params.n)))
-
-        assert law(x).sum() == pytest.approx(1.0, rel=1e-12)
-        assert within_5_se(law(x))
-        assert not within_5_se(law(x[::-1]))
-
-    def test_value_mean_matches_closed_form(self):
-        # E[y] = (1-gamma) x k + gamma k/2 for constant input x
-        x, k, gamma = 0.7, 4, 0.25
-        params = self._params(n=100_000, d=3, k=k, t=1, gamma=gamma)
-        matrix = np.full((params.n, params.d), x)
-        _, values = randomize_batch(matrix, params, np.random.default_rng(6))
-        expected = (1 - gamma) * x * k + gamma * k / 2
-        se = values.std() / np.sqrt(values.size)
-        assert abs(values.mean() - expected) < 3 * se
-
     @pytest.mark.parametrize("entry", [randomize_batch, run_trial])
-    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
-    def test_out_of_range_gathered_entry_rejected(self, bad, entry):
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan, None])
+    def test_out_of_range_gathered_entry_rejected(self, bad, d, entry):
         # before the check, x = 1.5 at k = 4 came out as the value 6 and NaN
         # as the int64 minimum; now every gathered entry must lie in [0, 1],
-        # through either entry point
-        params = self._params(n=50, d=1, k=4, t=1)
-        matrix = np.full((params.n, 1), 0.5)
-        matrix[7, 0] = bad
-        with pytest.raises(ValueError, match=r"^inputs must lie in \[0, 1\]"):
+        # through either entry point.  At t = d every entry is gathered; bad
+        # = None drops a column instead, a shape mismatch
+        params = self._params(n=50, d=d, k=4, t=d)
+        matrix, match = np.full((params.n, d), 0.5), r"^inputs must lie in \[0, 1\]"
+        if bad is None:
+            matrix, match = matrix[:, 1:], "shape"
+        else:
+            matrix[7, -1] = bad
+        with pytest.raises(ValueError, match=match):
             entry(matrix, params, np.random.default_rng(0))
 
     def test_only_gathered_entries_are_checked(self):

@@ -2,7 +2,9 @@
 
 usage: python tools/mutate.py MODULE TEST_FILE...
 
-MODULE names a file of src/shufflesum (say `calibration`).  Each mutant
+MODULE names a file of src/shufflesum (say `calibration`), and each
+TEST_FILE is a path, relative or absolute, to a file in this repository;
+anything else is refused before the copy is made.  Each mutant
 changes one node of that module's syntax tree:
 - a comparison flipped: < and <=, > and >=, == and != swap;
 - an arithmetic operator swapped: + and -, * and / swap;
@@ -146,6 +148,20 @@ def main(argv=None):
     parser.add_argument("module")
     parser.add_argument("tests", nargs="+")
     args = parser.parse_args(argv)
+    # checked before the copy; each test file is passed as its path in the
+    # copy, since an absolute path would make pytest take this checkout as
+    # its rootdir and put its src, not the copy's, first on the path
+    modules = sorted(path.stem for path in (ROOT / "src" / "shufflesum").glob("*.py"))
+    if args.module not in modules:
+        parser.error(f"unknown module {args.module!r}; one of {', '.join(modules)}")
+    tests = []
+    for test in args.tests:
+        path = Path(test).resolve()
+        if not path.is_relative_to(ROOT):
+            parser.error(f"{test} lies outside the repository {ROOT}")
+        if not path.is_file():
+            parser.error(f"no test file {test}")
+        tests.append(str(path.relative_to(ROOT)))
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         work = Path(tmp) / "repo"
@@ -157,20 +173,20 @@ def main(argv=None):
         original = target.read_text()
 
         start = time.perf_counter()
-        if not run_tests(work, args.tests, timeout=3600):
+        if not run_tests(work, tests, timeout=3600):
             sys.exit("the unmutated module fails its tests; nothing to measure")
         timeout = max(60.0, 10 * (time.perf_counter() - start))
 
         killed, survivors = 0, []
         for function, before, after, mutated in mutants(original):
             target.write_text(mutated)
-            if run_tests(work, args.tests, timeout):
+            if run_tests(work, tests, timeout):
                 survivors.append((function, before, after))
             else:
                 killed += 1
 
     total = killed + len(survivors)
-    names = ", ".join(Path(t).stem.removeprefix("test_") for t in args.tests)
+    names = ", ".join(Path(t).stem.removeprefix("test_") for t in tests)
     print("| module | tests run | mutants | killed |")
     print("|---|---|---|---|")
     print(f"| {args.module} | {names} | {total} | {killed} |")
